@@ -23,11 +23,13 @@ from .groups import (
     PermGroup,
     alternating_group,
     format_group_file,
+    group_file_lines,
     mathieu_group,
     parse_group_file,
     psl2_group,
     symmetric_group,
 )
+from .perm import parse_perm
 
 USAGE_EXIT = 64
 
@@ -95,11 +97,9 @@ def _build_scenario(args) -> verdict.Scenario:
         return verdict.Scenario(f.degree, args.p, args.r, "poly", poly=args.poly,
                                 assume_zeta=args.assume_zeta, seed=seed)
     if args.group_file:
-        text = Path(args.group_file).read_text()
-        g = parse_group_file(text)
-        n = args.n if args.n is not None else g.degree
-        gens = tuple(line.split("#", 1)[0].strip() for line in text.splitlines()
-                     if line.split("#", 1)[0].strip())
+        # the degree only: dispatch builds (and caches) the group itself
+        gens = tuple(group_file_lines(Path(args.group_file).read_text()))
+        n = args.n if args.n is not None else max(len(parse_perm(x)) for x in gens)
         return verdict.Scenario(n, args.p, args.r, "custom", generators=gens,
                                 assume_zeta=args.assume_zeta, seed=seed)
     tag = parse_group_tag(args.group, args.n)
@@ -148,7 +148,7 @@ def _cmd_heart(args) -> int:
     print(f"heart: dimension {h.dim} ({h.kind}) over F_{args.p}")
     result = modules.is_irreducible(h, seed=seed)
     if result.irreducible:
-        cdim = modules.commutant_dim(h)
+        cdim = modules.commutant_dim(h, result)
         print(f"irreducible: yes (commutant dimension {cdim})")
     else:
         print(f"irreducible: no (invariant subspace of dimension "

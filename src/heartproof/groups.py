@@ -466,16 +466,18 @@ def psl2_group(ell: int, r: int = 1) -> PermGroup:
     return g
 
 
-def parse_group_file(text: str, tag: GroupTag | None = None) -> PermGroup:
-    """One generator per line in cycle notation; '#' starts a comment."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+def group_file_lines(text: str) -> list[str]:
+    """The generator lines of a group file: one per line, '#' starts a comment."""
+    lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
+    lines = [line for line in lines if line]
     if not lines:
         raise ValueError("no generators in group file")
-    perms = [perm.parse_perm(line) for line in lines]
+    return lines
+
+
+def parse_group_file(text: str, tag: GroupTag | None = None) -> PermGroup:
+    """One generator per line in cycle notation; '#' starts a comment."""
+    perms = [perm.parse_perm(line) for line in group_file_lines(text)]
     degree = max(len(p) for p in perms)
     return PermGroup([perm.extend(p, degree) for p in perms], degree=degree, tag=tag)
 

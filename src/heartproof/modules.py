@@ -9,6 +9,7 @@ degree.
 Irreducibility is decided by the MeatAxe: a randomized search for an
 algebra element with an irreducible charpoly factor of minimal nullity,
 combined with spin-up in the module and its dual (Norton's criterion).
+The commutant of an irreducible module is then read from that certificate.
 """
 
 from __future__ import annotations
@@ -232,21 +233,81 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
     raise RandomnessExhausted(f"no singular element of minimal nullity in {budget} attempts")
 
 
-def commutant_dim(module: GModule) -> int:
-    """Dimension of {X : X M(g) = M(g) X for all generators g} over F_p."""
-    p, d = module.p, module.dim
-    if not module.gen_matrices:
-        return d * d
-    blocks = []
-    eye = identity(d)
-    for m in module.gen_matrices:
-        blocks.append(np.kron(eye, m.T) - np.kron(m, eye))
-    big = np.vstack(blocks) % p
-    return d * d - linalg.rank(big, p)
+def _standard_basis(v: np.ndarray, mats: list[np.ndarray], p: int):
+    """Spin v into a basis of its submodule, keeping how each row was made.
+
+    Returns the rows and a recipe: rows[0] = v and rows[i] = rows[src] @
+    mats[g] for recipe[i - 1] = (src, g). Membership is tested against a
+    semi-echelon copy of the rows, one vector at a time.
+    """
+    rows = [v % p]
+    recipe: list[tuple[int, int]] = []
+    # (pivot, row scaled to 1 there), each row zero at the earlier pivots
+    echelon: list[tuple[int, np.ndarray]] = []
+
+    def add(x: np.ndarray) -> bool:
+        for piv, row in echelon:
+            if x[piv]:
+                x = (x - x[piv] * row) % p
+        nz = np.flatnonzero(x)
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        echelon.append((piv, x * pow(int(x[piv]), -1, p) % p))
+        return True
+
+    add(rows[0])
+    i = 0
+    while i < len(rows) and len(rows) < len(v):
+        for g, m in enumerate(mats):
+            w = (rows[i] @ m) % p
+            if add(w):
+                rows.append(w)
+                recipe.append((i, g))
+        i += 1
+    return np.array(rows), recipe
+
+
+def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
+    """Dimension of End_G(V) = {X : X M(g) = M(g) X for all generators g}.
+
+    `result` is the irreducible verdict of `is_irreducible` for this module;
+    its certificate gives the answer without a d^2-sized system (Holt-Rees,
+    Testing modules for irreducibility, 1994). With A the certified element
+    and f the certified factor, every X in End_G(V) commutes with f(A), so
+    it maps the row null space N of f(A) into itself; and v = N[0] spins up
+    to V, so X is fixed by vX. For each w in N, the map X_w sending the
+    standard basis spun from v to the same words applied to w is therefore
+    the only candidate with vX = w, and End_G(V) is the null space of the
+    linear map w -> ([X_w, M(g)])_g on N.
+    """
+    if not result.irreducible:
+        raise ValueError("commutant_dim needs an irreducible MeatAxe result")
+    p, d, mats = module.p, module.dim, module.gen_matrices
+    cert = result.certificate
+    if d == 1:
+        return 1
+    fa = linalg.poly_of_matrix(cert["factor"], linalg.asmat(cert["element"], p), p)
+    null_rows = kernel_basis(fa.T, p)
+    e = len(null_rows)
+    if e == 1:
+        return 1
+    basis, recipe = _standard_basis(null_rows[0], mats, p)
+    if basis.shape[0] < d:
+        raise ValueError("irreducibility certificate does not match this module")
+    images = np.empty((d, e, d), dtype=np.int64)
+    images[0] = np.array(null_rows)
+    for i, (src, g) in enumerate(recipe, start=1):
+        images[i] = (images[src] @ mats[g]) % p
+    # xs[k] = basis^-1 W_k is the one candidate X with v X = null_rows[k]
+    xs = np.einsum("ij,jwk->wik", linalg.mat_inv(basis, p), images) % p
+    brackets = [((xs @ m - m @ xs) % p).reshape(e, d * d) for m in mats]
+    return e - linalg.rank(np.concatenate(brackets, axis=1), p)
 
 
 def is_absolutely_irreducible(module: GModule, seed: int = 0) -> bool:
-    return is_irreducible(module, seed=seed).irreducible and commutant_dim(module) == 1
+    result = is_irreducible(module, seed=seed)
+    return result.irreducible and commutant_dim(module, result) == 1
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:

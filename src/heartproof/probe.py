@@ -284,9 +284,8 @@ def factor_degrees_mod_p(f: PolyZ, p: int) -> list[int]:
     return gfpoly.factor_degrees(gfpoly.monic(fp, p), p)
 
 
-def sample_primes(f: PolyZ, budget: int) -> list[int]:
-    """First `budget` primes >= 3 dividing neither lc(f) nor disc(f)."""
-    disc = discriminant(f)
+def sample_primes(f: PolyZ, disc: int, budget: int) -> list[int]:
+    """First `budget` primes >= 3 dividing neither lc(f) nor disc = disc(f)."""
     out = []
     p = 2
     while len(out) < budget:
@@ -355,7 +354,7 @@ def classify_galois(f: PolyZ, prime_budget: int = 40, seed: int = 0) -> GaloisEv
         raise NotSquarefree(f"{f} has repeated roots")
     disc = discriminant(f)
     disc_square = is_perfect_square(disc)
-    primes = sample_primes(f, prime_budget)
+    primes = sample_primes(f, disc, prime_budget)
 
     witness = None
     patterns: dict[tuple[int, ...], int] = {}

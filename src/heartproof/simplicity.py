@@ -283,7 +283,7 @@ def _computed_verdict(g: PermGroup, p: int, seed: int) -> SimplicityVerdict:
             v.attach("computation", f"invariant subspace of dimension {len(rows)} "
                                     f"inside the {h.dim}-dimensional heart")
             return v
-        cdim = modules.commutant_dim(h)
+        cdim = modules.commutant_dim(h, result)
         if cdim != 1:
             v = SimplicityVerdict(Level.SIMPLE)
             v.attach("computation", f"heart irreducible but commutant has dimension {cdim} > 1")

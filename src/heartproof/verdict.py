@@ -288,7 +288,7 @@ def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
         return HypothesisCheck(anchor, "table", True,
                                f"M{s.n} heart is absolutely simple for odd p (modular table)")
     if tag.kind == "psl2":
-        if tag.q > 11 and (s.p != tag.ell or s.q == tag.ell == s.p):
+        if tag.q > 11 and (s.p != tag.ell or tag.q == tag.ell == s.p):
             return HypothesisCheck(anchor, "table", True,
                                    f"PSL(2,{tag.q}) heart is absolutely simple (modular table)")
         return HypothesisCheck(anchor, "table", None,
@@ -313,7 +313,7 @@ def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
     if not res.irreducible:
         return HypothesisCheck(anchor, "computed", False,
                                f"invariant subspace of dimension {res.invariant_subspace.shape[0]}")
-    cdim = modules.commutant_dim(h)
+    cdim = modules.commutant_dim(h, res)
     return HypothesisCheck(anchor, "computed", cdim == 1,
                            f"irreducible by the MeatAxe; commutant dimension {cdim}")
 

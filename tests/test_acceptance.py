@@ -19,6 +19,7 @@ from heartproof.groups import (
     symmetric_group,
 )
 from heartproof.simplicity import Level
+from kronecker import kronecker_commutant_dim
 
 FIXTURES = Path("src/heartproof/data/fixtures.jsonl")
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,13 +52,15 @@ def test_criterion_2_absolute_irreducibility():
         for n in (5, 6, 7):
             for p in (3, 5, 7, 11, 13):
                 h = modules.heart(ctor(n), p)
-                assert modules.is_irreducible(h, seed=0).irreducible, (ctor, n, p)
-                assert modules.commutant_dim(h) == 1, (ctor, n, p)
+                r = modules.is_irreducible(h, seed=0)
+                assert r.irreducible, (ctor, n, p)
+                assert modules.commutant_dim(h, r) == kronecker_commutant_dim(h) == 1, (ctor, n, p)
                 count += 1
     h = modules.heart(mathieu_group(11), 5)
     assert h.dim == 10
-    assert modules.is_irreducible(h, seed=0).irreducible
-    assert modules.commutant_dim(h) == 1
+    r = modules.is_irreducible(h, seed=0)
+    assert r.irreducible
+    assert modules.commutant_dim(h, r) == kronecker_commutant_dim(h) == 1
     _report(2, f"absolute irreducibility on {count} S/A hearts + M11 over F_5", t0, 30)
 
 

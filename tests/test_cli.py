@@ -99,6 +99,17 @@ def test_group_file(tmp_path, capsys):
     assert code == 0 and "order: 60" in out
 
 
+def test_analyze_group_file_malformed(tmp_path, capsys):
+    path = tmp_path / "grp.txt"
+    path.write_text("(0 1 2)\n(0 1 x)\n")
+    code, out, err = run_cli(["analyze", "--group-file", str(path), "--p", "7"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: malformed permutation '(0 1 x)'\n"
+    path.write_text("# comments only\n")
+    code, _, err = run_cli(["analyze", "--group-file", str(path), "--p", "7"], capsys)
+    assert code == 1 and err == "error: no generators in group file\n"
+
+
 def test_probe_command(capsys):
     code, out, _ = run_cli(["probe", "--poly", "x^5+20*x+16", "--budget", "40"], capsys)
     assert code == 0

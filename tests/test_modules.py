@@ -16,6 +16,7 @@ from heartproof.modules import (
     permutation_module,
     tensor,
 )
+from kronecker import kronecker_commutant_dim
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,9 +75,11 @@ def test_word_relation_soundness():
 
 
 def test_meataxe_irreducible_heart():
-    r = is_irreducible(heart(alternating_group(5), 7))
+    h = heart(alternating_group(5), 7)
+    r = is_irreducible(h)
     assert r.irreducible
     assert r.certificate["nullity"] == len(r.certificate["factor"]) - 1
+    assert commutant_dim(h, r) == kronecker_commutant_dim(h) == 1
 
 
 def test_meataxe_reducible_permutation_module():
@@ -96,20 +99,57 @@ def test_meataxe_cyclic_heart_split():
     r = is_irreducible(h)
     assert not r.irreducible
     assert_invariant(r.invariant_subspace, h.gen_matrices, 11)
-    assert commutant_dim(h) == 4
+    # four distinct eigenlines: the diagonal algebra
+    assert kronecker_commutant_dim(h) == 4
 
 
 def test_cyclic_heart_f7_is_simple_not_absolutely():
     # 7 has order 4 mod 5, so the quartic cyclotomic factor stays irreducible
     h = heart(cyclic5(), 7)
-    assert is_irreducible(h).irreducible
-    assert commutant_dim(h) == 4
+    r = is_irreducible(h)
+    assert r.irreducible
+    assert r.certificate["nullity"] == 4
+    assert commutant_dim(h, r) == kronecker_commutant_dim(h) == 4
 
 
 def test_commutant_examples():
-    assert commutant_dim(heart(symmetric_group(5), 7)) == 1
+    h = heart(symmetric_group(5), 7)
+    assert commutant_dim(h, is_irreducible(h)) == kronecker_commutant_dim(h) == 1
     ident = modules.GModule(cyclic5(), 5, 3, [linalg.identity(3)])
-    assert commutant_dim(ident) == 9
+    assert not is_irreducible(ident).irreducible
+    assert kronecker_commutant_dim(ident) == 9
+
+
+def test_commutant_certificate_shapes():
+    # dimension 1: no element or factor in the certificate
+    line = modules.GModule(cyclic5(), 7, 1, [linalg.asmat([[2]], 7)])
+    r = is_irreducible(line)
+    assert r.certificate == {"reason": "dimension 1"}
+    assert commutant_dim(line, r) == kronecker_commutant_dim(line) == 1
+    # a linear certified factor (e = 1) and a wider one (e > 1)
+    widths = set()
+    for g, p in [(alternating_group(5), 7), (symmetric_group(6), 5), (mathieu_group(11), 5),
+                 (alternating_group(7), 3), (symmetric_group(8), 11)]:
+        h = heart(g, p)
+        r = is_irreducible(h)
+        assert r.irreducible
+        widths.add(r.certificate["nullity"] > 1)
+        assert commutant_dim(h, r) == kronecker_commutant_dim(h) == 1
+    assert widths == {False, True}
+
+
+def test_commutant_rejects_reducible_and_foreign_results():
+    h = heart(cyclic5(), 11)
+    r = is_irreducible(h)
+    assert not r.irreducible
+    with pytest.raises(ValueError):
+        commutant_dim(h, r)
+    # a certificate (e = 5) for another module of the same dimension: its
+    # null vector does not spin up to the whole of the trivial module
+    s = is_irreducible(heart(mathieu_group(11), 5))
+    trivial = modules.GModule(cyclic5(), 5, 10, [linalg.identity(10)])
+    with pytest.raises(ValueError):
+        commutant_dim(trivial, s)
 
 
 def test_meataxe_seed_determinism():

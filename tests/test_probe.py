@@ -114,7 +114,7 @@ def test_classify_rejects_repeated_roots():
 
 def test_degree_multisets_sum_to_n():
     f = parse_poly("x^6 - 2*x^4 + 3*x - 7")
-    for p in probe.sample_primes(f, 15):
+    for p in probe.sample_primes(f, probe.discriminant(f), 15):
         assert sum(factor_degrees_mod_p(f, p)) == 6
 
 

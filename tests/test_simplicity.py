@@ -8,6 +8,7 @@ from heartproof.simplicity import (
     embedding_obstruction,
     very_simple_alt,
 )
+from kronecker import kronecker_commutant_dim
 
 
 def cyclic5():
@@ -113,8 +114,9 @@ def test_shortcut_agrees_with_computation():
         short = abs_irred_shortcut(g, p)
         assert short is not None, (g, p)
         h = modules.heart(g, p)
-        assert modules.is_irreducible(h).irreducible
-        assert modules.commutant_dim(h) == 1
+        r = modules.is_irreducible(h)
+        assert r.irreducible
+        assert modules.commutant_dim(h, r) == kronecker_commutant_dim(h) == 1
 
 
 def test_evidence_nonempty():

@@ -3,6 +3,7 @@ import pytest
 
 from heartproof import linalg, modules
 from heartproof.modules import BadCongruence, module_iso, sl2f5_two_dim_reps, tensor
+from kronecker import kronecker_commutant_dim
 
 
 def test_bad_congruence():
@@ -25,6 +26,9 @@ def test_pair_at_11():
         assert int((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) % p) == 1
     assert modules.is_absolutely_irreducible(v1)
     assert modules.is_absolutely_irreducible(v2)
+    for v in (v1, v2, pair.pullback_heart):
+        r = modules.is_irreducible(v)
+        assert modules.commutant_dim(v, r) == kronecker_commutant_dim(v) == 1
     assert module_iso(v1, v2) is None
     t = tensor(v1, v2)
     x = module_iso(t, pair.pullback_heart)

@@ -169,6 +169,19 @@ def test_check_generic_route_examples():
     assert "very simple" in arith.detail
 
 
+def test_psl2_heart_table_range():
+    # the modular table is cited for q > 11 with p != l, or q = l = p
+    def heart_check(ell, r, p):
+        tag = GroupTag.psl2(ell, r)
+        s = Scenario(tag.n, p, 1, "tag", tag)
+        return verdict._check_heart_abs_irred(s, verdict._resolve_group(s)).passed
+
+    assert heart_check(5, 2, 5) is None    # PSL2(25), p = l, q != l
+    assert heart_check(3, 3, 3) is None    # PSL2(27), p = l, q != l
+    assert heart_check(13, 1, 13) is True  # q = l = p
+    assert heart_check(13, 1, 5) is True   # p != l
+
+
 def test_probe_route():
     cert = dispatch(Scenario(5, 7, 1, "poly", poly="x^5 - x - 1"))
     assert cert.conclusion.kind == "cyclotomic_ring"
