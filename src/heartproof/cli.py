@@ -147,13 +147,13 @@ def _cmd_heart(args) -> int:
     print(f"group: {g.tag.describe()} on {g.degree} points, order {g.order}")
     print(f"heart: dimension {h.dim} ({h.kind}) over F_{args.p}")
     result = modules.is_irreducible(h, seed=seed)
+    absolute = simplicity.absolute_simplicity(g, args.p, seed, meataxe=(h, result))
     if result.irreducible:
-        cdim = modules.commutant_dim(h, result)
-        print(f"irreducible: yes (commutant dimension {cdim})")
+        print(f"irreducible: yes (commutant dimension {absolute.commutant_dim})")
     else:
         print(f"irreducible: no (invariant subspace of dimension "
               f"{result.invariant_subspace.shape[0]})")
-    v = simplicity.decide_heart_simplicity(g, g.tag, args.p, seed=seed)
+    v = simplicity.decide_heart_simplicity(g, g.tag, args.p, seed=seed, absolute=absolute)
     print(f"simplicity verdict: {v.level.name}")
     for item in v.evidence:
         print(f"  [{item.kind}] {item.statement}")

@@ -311,16 +311,6 @@ class PermGroup:
                     queue.append(y)
         return sorted(seen)
 
-    def orbits(self) -> list[list[int]]:
-        seen: set[int] = set()
-        out = []
-        for i in range(self.degree):
-            if i not in seen:
-                orb = self.orbit(i)
-                seen.update(orb)
-                out.append(orb)
-        return out
-
     def is_transitive(self) -> bool:
         return self.degree >= 1 and len(self.orbit(0)) == self.degree
 
@@ -341,9 +331,6 @@ class PermGroup:
                     queue.append(pair)
         return len(seen) == n * (n - 1)
 
-    def point_stabilizer_order(self, point: int) -> int:
-        return self.order // len(self.orbit(point))
-
 
 def _closure(gens, degree: int, limit: int | None = None) -> set[Perm]:
     e = perm.identity(degree)
@@ -359,14 +346,6 @@ def _closure(gens, degree: int, limit: int | None = None) -> set[Perm]:
                 seen.add(y)
                 queue.append(y)
     return seen
-
-
-def group_order(g: PermGroup) -> int:
-    return g.order
-
-
-def is_doubly_transitive(g: PermGroup) -> bool:
-    return g.is_doubly_transitive()
 
 
 @cache
@@ -569,29 +548,30 @@ def subgroup_classes(g: PermGroup, limit: int = SUBGROUP_ENUM_THRESHOLD) -> list
 
 def exists_subgroup_of_index_dividing(
     g_or_tag, n_bound: int, limit: int = SUBGROUP_ENUM_THRESHOLD
-) -> tuple[bool, str]:
+) -> tuple[bool, str, str]:
     """Is there a proper subgroup of index d with 1 < d and d | n_bound?
 
     Family tags answer from minimal-index tables; otherwise the subgroup
     lattice is enumerated (|G| <= threshold), else TooLarge is raised.
-    Index 1 never counts. Returns (answer, witness text).
+    Index 1 never counts. Returns (answer, witness text, source), source
+    being 'arithmetic', 'table' or 'enumeration'.
     """
     tag = g_or_tag.tag if isinstance(g_or_tag, PermGroup) else g_or_tag
     divisors = [d for d in range(2, n_bound + 1) if n_bound % d == 0]
     if not divisors:
-        return False, "no divisor of the bound exceeds 1"
+        return False, "no divisor of the bound exceeds 1", "arithmetic"
 
     table = _family_index_table(tag)
     if table is not None:
         known, min_other = table
         hits = sorted(set(divisors) & known)
         if hits:
-            return True, f"{tag.describe()} has a subgroup of index {hits[0]} (family table)"
+            return True, f"{tag.describe()} has a subgroup of index {hits[0]} (family table)", "table"
         if all(d < min_other for d in divisors):
             return False, (
                 f"every proper subgroup of {tag.describe()} has index in "
                 f"{sorted(known) or '{}'} or >= {min_other}; no divisor of {n_bound} qualifies"
-            )
+            ), "table"
         # divisors at or above the minimal index: table alone cannot decide
 
     if isinstance(g_or_tag, PermGroup):
@@ -605,8 +585,10 @@ def exists_subgroup_of_index_dividing(
             index = g_or_tag.order // rep.order
             if index in divisors:
                 gens = ", ".join(perm.format_perm(p) for p in rep.gens) or "()"
-                return True, f"subgroup of order {rep.order}, index {index}, generated by {gens}"
-        return False, f"exhaustive enumeration: no proper subgroup index divides {n_bound}"
+                return (True, f"subgroup of order {rep.order}, index {index}, generated by {gens}",
+                        "enumeration")
+        return (False, f"exhaustive enumeration: no proper subgroup index divides {n_bound}",
+                "enumeration")
     raise TooLarge("no concrete group available and the family table is inconclusive")
 
 
@@ -629,6 +611,27 @@ def _family_index_table(tag: GroupTag) -> tuple[set[int], int] | None:
     if tag.kind == "psu3" and tag.q not in (2, 5):
         return set(), tag.q**3 + 1
     return None
+
+
+def family_heart_table(tag: GroupTag, p: int) -> bool:
+    """Does a cited table make the heart over F_p (p an odd prime) absolutely simple?
+
+    Sources: S_n and A_n for n >= 5 and every odd p; for the Mathieu groups,
+    PSL(2, q) and U_3(q), Mortimer's modular permutation representations of
+    the known doubly transitive groups (Proc. LMS 41, 1980), cited for M_n
+    except M11 at p = 3, for PSL(2, q) with q > 11 and p != l or q = l = p,
+    and for U_3(q) with q not in {2, 5}, p != l and p not dividing q + 1.
+    False means only that no table applies.
+    """
+    if tag.kind in ("symmetric", "alternating"):
+        return tag.n >= 5
+    if tag.kind == "mathieu":
+        return tag.n in MATHIEU_ORDERS and not (tag.n == 11 and p == 3)
+    if tag.kind == "psl2":
+        return tag.q > 11 and (p != tag.ell or tag.q == tag.ell == p)
+    if tag.kind == "psu3":
+        return tag.q not in (2, 5) and p != tag.ell and (tag.q + 1) % p != 0
+    return False
 
 
 def coset_action(g: PermGroup, h: PermGroup) -> PermGroup:

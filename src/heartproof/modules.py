@@ -443,7 +443,8 @@ def _binary_icosahedral_pair(p: int, t_traces: list[int]) -> tuple[tuple, tuple]
             ta, tb, tc, td = t
             if (sa * ta + sb * tc + sc * tb + sd * td) % p != 0:
                 continue
-            if _closure2([s, t], p) is not None and len(_closure2([s, t], p)) == 120:
+            closure = _closure2([s, t], p)
+            if closure is not None and len(closure) == 120:
                 return s, t
     raise RandomnessExhausted("no binary icosahedral pair found")  # unreachable for valid p
 

@@ -318,10 +318,6 @@ class GaloisEvidence:
     reasons: tuple[str, ...]
 
     @property
-    def galois_group_is_sym_or_alt(self) -> bool:
-        return self.conclusion in ("proven_sn", "proven_an_or_sn")
-
-    @property
     def resolved_group(self) -> str | None:
         """'symmetric' or 'alternating' when proven, else None."""
         if self.conclusion == "proven_sn":

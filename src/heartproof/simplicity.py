@@ -26,6 +26,7 @@ from .groups import (
     PermGroup,
     TooLarge,
     exists_subgroup_of_index_dividing,
+    family_heart_table,
     mathieu_group,
     pgl2_order,
     psl2_order,
@@ -64,6 +65,8 @@ class SimplicityVerdict:
     # n = 5 alternating special case: every non-obvious normal subalgebra
     # is a 2x2 matrix algebra
     mat2_subalgebra: bool = False
+    # dimension of End_G(heart), when the MeatAxe was consulted
+    commutant_dim: int | None = None
 
     def attach(self, kind: str, statement: str) -> "SimplicityVerdict":
         self.evidence.append(EvidenceItem(kind, statement))
@@ -113,11 +116,11 @@ def central_simple_by_index(g_or_tag, p: int, n_bound: int) -> SimplicityVerdict
     Caller must have established absolute irreducibility. Returns None when
     some qualifying subgroup exists (the criterion then says nothing).
     """
-    exists, why = exists_subgroup_of_index_dividing(g_or_tag, n_bound)
+    exists, why, source = exists_subgroup_of_index_dividing(g_or_tag, n_bound)
     if exists:
         return None
     v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
-    v.attach("computation" if isinstance(g_or_tag, PermGroup) else "table-fact",
+    v.attach("table-fact" if source == "table" else "computation",
              f"no proper subgroup index divides {n_bound}: {why}")
     v.attach("table-fact", "index criterion: absolutely irreducible + no index dividing dim "
                            "=> every normal subalgebra is central simple")
@@ -207,14 +210,17 @@ def _mathieu_exceptional_very_simple(n: int, p: int) -> SimplicityVerdict | None
 
 
 def decide_heart_simplicity(
-    g: PermGroup | None, tag: GroupTag, p: int, seed: int = 0
+    g: PermGroup | None, tag: GroupTag, p: int, seed: int = 0,
+    absolute: SimplicityVerdict | None = None,
 ) -> SimplicityVerdict:
     """Dispatch on the group family; UNKNOWN rather than a silent guess.
 
     Symmetric and alternating hearts use the very-simplicity case analysis;
-    Mathieu and PSL2 (q > 11) hearts the central-simplicity theorems with
-    recomputed obstructions; everything else falls back to the shortcut,
-    the MeatAxe, and the index criterion.
+    Mathieu, PSL2 and U3 hearts inside the cited modular table the
+    central-simplicity theorems with recomputed obstructions; everything
+    else falls back to `absolute_simplicity` and the index criterion, which
+    need a concrete group. `absolute` is the caller's `absolute_simplicity`
+    verdict for g, if it already has one.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
@@ -225,10 +231,8 @@ def decide_heart_simplicity(
         return v
     if tag.kind == "alternating" and n >= 5:
         return very_simple_alt(n, p)
-    if tag.kind == "mathieu":
-        if n == 11 and p == 3:
-            # outside the theorem's hypotheses: answer by computation
-            return _computed_verdict(g or mathieu_group(11), p, seed)
+    cited = family_heart_table(tag, p)
+    if cited and tag.kind == "mathieu":
         exceptional = _mathieu_exceptional_very_simple(n, p)
         if exceptional is not None:
             exceptional.attach("table-fact", f"M{n} heart is central simple for odd p"
@@ -238,58 +242,72 @@ def decide_heart_simplicity(
         v.attach("table-fact", f"M{n}: absolutely simple heart (modular table) and minimal "
                                f"subgroup index {n} exceeds the heart dimension {heart_dim(n, p)}")
         return v
-    if tag.kind == "psl2":
+    if cited and tag.kind == "psl2":
+        v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
+        v.attach("table-fact", f"PSL(2,{tag.q}) with q > 11: every proper subgroup has index "
+                               f">= {tag.q + 1} > heart dimension; heart absolutely simple "
+                               "(modular table)")
+        return v
+    if cited and tag.kind == "psu3":
         q = tag.q
-        if q is not None and q > 11:
-            v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
-            v.attach("table-fact", f"PSL(2,{q}) with q > 11: every proper subgroup has index "
-                                   f">= {q + 1} > heart dimension; heart absolutely simple "
-                                   "(modular table)")
-            return v
-        if g is None:
-            return SimplicityVerdict(Level.UNKNOWN).attach(
-                "diagnostic", f"PSL(2,{q}) with q <= 11 needs the concrete group")
-        return _computed_verdict(g, p, seed)
-    if tag.kind == "psu3":
-        q = tag.q
-        ell = tag.ell
-        if q not in (2, 5) and p != ell and (q + 1) % p != 0:
-            v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
-            v.attach("table-fact", f"U3({q}): heart absolutely simple for p != {ell}, "
-                                   f"p not dividing {q + 1} (modular table, recorded citation)")
-            v.attach("table-fact", f"minimal subgroup index {q**3 + 1} exceeds the heart dimension "
-                                   "(subgroup list, recorded citation)")
-            return v
-        return SimplicityVerdict(Level.UNKNOWN).attach(
-            "diagnostic", f"U3({q}) outside the tabulated regime (q not in {{2,5}}, p != l, "
-                          f"p not dividing q+1); no concrete group is built for U3")
+        v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
+        v.attach("table-fact", f"U3({q}): heart absolutely simple for p != {tag.ell}, "
+                               f"p not dividing {q + 1} (modular table, recorded citation)")
+        v.attach("table-fact", f"minimal subgroup index {q**3 + 1} exceeds the heart dimension "
+                               "(subgroup list, recorded citation)")
+        return v
+    if g is None and tag.kind == "mathieu":
+        g = mathieu_group(n)
     if g is None:
         return SimplicityVerdict(Level.UNKNOWN).attach(
-            "diagnostic", "custom tag without a concrete group")
-    return _computed_verdict(g, p, seed)
+            "diagnostic", f"{tag.describe()} is outside the cited modular table "
+                          "and no concrete group is given")
+    return _computed_verdict(g, p, seed, absolute)
 
 
-def _computed_verdict(g: PermGroup, p: int, seed: int) -> SimplicityVerdict:
-    """Shortcut, then MeatAxe + commutant, then the index criterion."""
+def absolute_simplicity(
+    g: PermGroup, p: int, seed: int = 0,
+    meataxe: tuple[modules.HeartModule, modules.IrreducibilityResult] | None = None,
+) -> SimplicityVerdict:
+    """NOT_SIMPLE, SIMPLE or ABSOLUTELY_SIMPLE for the heart of a concrete group.
+
+    The shortcut answers first, else the MeatAxe and the commutant, whose
+    dimension is recorded. `meataxe` is a (heart, `modules.is_irreducible`
+    result) pair the caller already has: it replaces the MeatAxe run, and
+    its commutant dimension is recorded even when the shortcut answers.
+    """
     short = abs_irred_shortcut(g, p)
-    if short is not None:
-        base = short
-    else:
+    if meataxe is None:
+        if short is not None:
+            return short
         h = modules.heart(g, p)
-        result = modules.is_irreducible(h, seed=seed)
-        if not result.irreducible:
-            rows = [[int(x) for x in row] for row in result.invariant_subspace]
-            v = SimplicityVerdict(Level.NOT_SIMPLE, witness_subspace=rows)
-            v.attach("computation", f"invariant subspace of dimension {len(rows)} "
-                                    f"inside the {h.dim}-dimensional heart")
-            return v
-        cdim = modules.commutant_dim(h, result)
-        if cdim != 1:
-            v = SimplicityVerdict(Level.SIMPLE)
-            v.attach("computation", f"heart irreducible but commutant has dimension {cdim} > 1")
-            return v
-        base = SimplicityVerdict(Level.ABSOLUTELY_SIMPLE)
-        base.attach("computation", "heart irreducible with scalar commutant (computed)")
+        meataxe = h, modules.is_irreducible(h, seed=seed)
+    h, result = meataxe
+    if not result.irreducible:
+        rows = [[int(x) for x in row] for row in result.invariant_subspace]
+        v = SimplicityVerdict(Level.NOT_SIMPLE, witness_subspace=rows)
+        return v.attach("computation", f"invariant subspace of dimension {len(rows)} "
+                                       f"inside the {h.dim}-dimensional heart")
+    cdim = modules.commutant_dim(h, result)
+    if short is not None:
+        v = short
+    elif cdim != 1:
+        v = SimplicityVerdict(Level.SIMPLE)
+        v.attach("computation", f"heart irreducible but commutant has dimension {cdim} > 1")
+    else:
+        v = SimplicityVerdict(Level.ABSOLUTELY_SIMPLE)
+        v.attach("computation", "heart irreducible with scalar commutant (computed)")
+    v.commutant_dim = cdim
+    return v
+
+
+def _computed_verdict(g: PermGroup, p: int, seed: int,
+                      base: SimplicityVerdict | None) -> SimplicityVerdict:
+    """`absolute_simplicity`, then the index criterion."""
+    if base is None:
+        base = absolute_simplicity(g, p, seed)
+    if base.level != Level.ABSOLUTELY_SIMPLE:
+        return base
     n_bound = heart_dim(g.degree, p)
     try:
         upgraded = central_simple_by_index(g, p, n_bound)
@@ -301,4 +319,5 @@ def _computed_verdict(g: PermGroup, p: int, seed: int) -> SimplicityVerdict:
                                   "central simplicity undetermined by the index criterion")
         return base
     upgraded.evidence = base.evidence + upgraded.evidence
+    upgraded.commutant_dim = base.commutant_dim
     return upgraded

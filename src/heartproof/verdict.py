@@ -29,8 +29,10 @@ from .groups import (
     SUBGROUP_ENUM_THRESHOLD,
     TooLarge,
     exists_subgroup_of_index_dividing,
+    family_heart_table,
     mathieu_group,
     psl2_group,
+    psl2_order,
     MATHIEU_ORDERS,
 )
 from .simplicity import Level
@@ -84,6 +86,12 @@ class Scenario:
             if self.tag.n is not None and self.tag.n != self.n:
                 raise InvalidScenario(
                     f"tag degree {self.tag.n} does not match n = {self.n}"
+                )
+            if self.tag.kind in ("psl2", "psu3") and not (
+                    is_prime(self.tag.ell) and self.tag.r >= 1):
+                raise InvalidScenario(
+                    f"{self.tag.describe()}: l = {self.tag.ell} must be prime "
+                    f"and r = {self.tag.r} at least 1"
                 )
         elif self.group_source == "custom":
             if not self.generators:
@@ -193,16 +201,10 @@ def _resolve_group(s: Scenario) -> _GroupInfo:
 
 def _concrete_for_tag(tag: GroupTag) -> PermGroup | None:
     """A concrete group for cheap exact index facts, when small enough."""
-    try:
-        if tag.kind == "psl2" and tag.q is not None and tag.q >= 4:
-            from .groups import psl2_order
-
-            if psl2_order(tag.q) <= SUBGROUP_ENUM_THRESHOLD:
-                return psl2_group(tag.ell, tag.r or 1)
-        if tag.kind == "mathieu" and MATHIEU_ORDERS.get(tag.n, 10**9) <= SUBGROUP_ENUM_THRESHOLD:
-            return mathieu_group(tag.n)
-    except Exception:
-        return None
+    if tag.kind == "psl2" and tag.q >= 4 and psl2_order(tag.q) <= SUBGROUP_ENUM_THRESHOLD:
+        return psl2_group(tag.ell, tag.r)
+    if tag.kind == "mathieu" and MATHIEU_ORDERS.get(tag.n, 10**9) <= SUBGROUP_ENUM_THRESHOLD:
+        return mathieu_group(tag.n)
     return None
 
 
@@ -210,8 +212,28 @@ def _concrete_for_tag(tag: GroupTag) -> PermGroup | None:
 # Hypothesis helpers
 # ---------------------------------------------------------------------------
 
+DOUBLY_TRANSITIVE = "group acts doubly transitively on the n roots"
+COPRIME_ORDER = "p does not divide the group order"
+HEART_ABS_IRRED = "heart of the permutation action is absolutely irreducible"
+
+
+def _zeta_anchor(s: Scenario) -> str:
+    return f"base field contains a primitive {s.q}-th root of unity"
+
+
+def _index_anchor(bound: int) -> str:
+    return f"no maximal subgroup index divides {bound}"
+
+
+def _side_condition_anchor(s: Scenario) -> str:
+    if s.r == 1:
+        return "either n = p + 1, or p does not divide n - 1, or the heart is very simple"
+    return ("either q divides n, or n = q + 1, or q does not divide n - 1, "
+            "or the heart is very simple")
+
+
 def _check_zeta(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
-    anchor = f"base field contains a primitive {s.q}-th root of unity"
+    anchor = _zeta_anchor(s)
     if info.tag.kind in SIMPLE_NONABELIAN_TAGS:
         return HypothesisCheck(
             anchor, "table", True,
@@ -224,7 +246,7 @@ def _check_zeta(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
 
 
 def _check_doubly_transitive(info: _GroupInfo, n: int) -> HypothesisCheck:
-    anchor = "group acts doubly transitively on the n roots"
+    anchor = DOUBLY_TRANSITIVE
     tag = info.tag
     if tag.kind in ("symmetric", "alternating") and n >= 4:
         return HypothesisCheck(anchor, "table", True, f"{tag.describe()} is doubly transitive")
@@ -244,78 +266,57 @@ def _check_doubly_transitive(info: _GroupInfo, n: int) -> HypothesisCheck:
     return HypothesisCheck(anchor, "computed", None, "no concrete group to test")
 
 
-def _group_order(info: _GroupInfo) -> int | None:
-    fam = info.tag.family_order()
-    if fam is not None:
-        return fam
-    if info.concrete is not None:
-        return info.concrete.order
-    return None
-
-
 def _check_p_coprime_order(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
-    anchor = "p does not divide the group order"
-    order = _group_order(info)
+    order, kind = info.tag.family_order(), "table"
+    if order is None and info.concrete is not None:
+        order, kind = info.concrete.order, "computed"
     if order is None:
-        return HypothesisCheck(anchor, "computed", None, "group order unavailable")
-    kind = "table" if info.tag.family_order() is not None else "computed"
-    ok = order % s.p != 0
-    return HypothesisCheck(anchor, kind, ok, f"|H| = {order}, p = {s.p}")
+        return HypothesisCheck(COPRIME_ORDER, "computed", None, "group order unavailable")
+    return HypothesisCheck(COPRIME_ORDER, kind, order % s.p != 0, f"|H| = {order}, p = {s.p}")
 
 
 def _check_index_condition(s: Scenario, info: _GroupInfo, bound: int) -> HypothesisCheck:
-    anchor = f"no maximal subgroup index divides {bound}"
+    anchor = _index_anchor(bound)
     target = info.concrete if info.concrete is not None else info.tag
     try:
-        exists, why = exists_subgroup_of_index_dividing(target, bound)
+        exists, why, source = exists_subgroup_of_index_dividing(target, bound)
     except TooLarge as exc:
         return HypothesisCheck(anchor, "computed", None, str(exc))
-    kind = "computed" if isinstance(target, PermGroup) else "table"
-    return HypothesisCheck(anchor, kind, not exists, why)
+    return HypothesisCheck(anchor, "table" if source == "table" else "computed", not exists, why)
+
+
+def _heart_table_detail(tag: GroupTag, cited: bool) -> str:
+    if tag.kind in ("symmetric", "alternating"):
+        return f"{tag.describe()} heart is absolutely simple for every odd p"
+    if tag.kind == "mathieu":
+        return (f"M{tag.n} heart is absolutely simple for odd p (modular table)" if cited
+                else "modular table for M11 is cited only for p > 3")
+    if tag.kind == "psl2":
+        return (f"PSL(2,{tag.q}) heart is absolutely simple (modular table)" if cited
+                else "modular table cited only for q > 11 with p != l or q = l = p")
+    return (f"U3({tag.q}) heart is absolutely simple for p != l, p not dividing q+1 "
+            "(modular table)" if cited else "outside the cited modular table")
 
 
 def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
-    """Representation fact: tables for family tags, MeatAxe for custom groups."""
-    anchor = "heart of the permutation action is absolutely irreducible"
+    """Representation fact: tables for family tags, computation for custom groups."""
+    anchor = HEART_ABS_IRRED
     tag = info.tag
-    if tag.kind in ("symmetric", "alternating") and s.n >= 5:
-        return HypothesisCheck(anchor, "table", True,
-                               f"{tag.describe()} heart is absolutely simple for every odd p")
-    if tag.kind == "mathieu":
-        if s.n == 11 and s.p <= 3:
-            return HypothesisCheck(anchor, "table", None,
-                                   "modular table for M11 is cited only for p > 3")
-        return HypothesisCheck(anchor, "table", True,
-                               f"M{s.n} heart is absolutely simple for odd p (modular table)")
-    if tag.kind == "psl2":
-        if tag.q > 11 and (s.p != tag.ell or tag.q == tag.ell == s.p):
-            return HypothesisCheck(anchor, "table", True,
-                                   f"PSL(2,{tag.q}) heart is absolutely simple (modular table)")
-        return HypothesisCheck(anchor, "table", None,
-                               "modular table cited only for q > 11 with p != l or q = l = p")
-    if tag.kind == "psu3":
-        if tag.q not in (2, 5) and s.p != tag.ell and (tag.q + 1) % s.p != 0:
-            return HypothesisCheck(anchor, "table", True,
-                                   f"U3({tag.q}) heart is absolutely simple for p != l, "
-                                   f"p not dividing q+1 (modular table)")
-        return HypothesisCheck(anchor, "table", None, "outside the cited modular table")
+    if tag.kind != "custom":
+        cited = family_heart_table(tag, s.p)
+        return HypothesisCheck(anchor, "table", True if cited else None,
+                               _heart_table_detail(tag, cited))
     if info.concrete is None:
         return HypothesisCheck(anchor, "computed", None, "no concrete group to test")
-    g = info.concrete
-    short = simplicity.abs_irred_shortcut(g, s.p)
-    if short is not None:
+    v = simplicity.absolute_simplicity(info.concrete, s.p, s.seed)
+    if v.level == Level.NOT_SIMPLE:
+        return HypothesisCheck(anchor, "computed", False,
+                               f"invariant subspace of dimension {len(v.witness_subspace)}")
+    if v.commutant_dim is None:
         return HypothesisCheck(anchor, "computed", True,
                                "doubly transitive with order coprime to p (shortcut)")
-    from . import modules
-
-    h = modules.heart(g, s.p)
-    res = modules.is_irreducible(h, seed=s.seed)
-    if not res.irreducible:
-        return HypothesisCheck(anchor, "computed", False,
-                               f"invariant subspace of dimension {res.invariant_subspace.shape[0]}")
-    cdim = modules.commutant_dim(h, res)
-    return HypothesisCheck(anchor, "computed", cdim == 1,
-                           f"irreducible by the MeatAxe; commutant dimension {cdim}")
+    return HypothesisCheck(anchor, "computed", v.commutant_dim == 1,
+                           f"irreducible by the MeatAxe; commutant dimension {v.commutant_dim}")
 
 
 def _very_simple_fallback(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
@@ -333,29 +334,35 @@ def _very_simple_fallback(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
 # Routes
 # ---------------------------------------------------------------------------
 
-def _skip_rest(checks: list[HypothesisCheck], anchors: list[tuple[str, str]]):
-    done = {c.anchor for c in checks}
-    for anchor, kind in anchors:
-        if anchor not in done:
-            checks.append(HypothesisCheck(anchor, kind, None,
+def _run_steps(steps) -> list[HypothesisCheck]:
+    """Evaluate (anchor, kind if skipped, check) steps up to the first check
+    that does not pass; the steps after it are listed as not evaluated."""
+    checks: list[HypothesisCheck] = []
+    for anchor, skipped_kind, check in steps:
+        if checks and checks[-1].failed:
+            checks.append(HypothesisCheck(anchor, skipped_kind, None,
                                           "not evaluated (earlier hypothesis failed)"))
+            continue
+        checks.append(check())
+        if checks[-1].anchor != anchor:
+            raise AssertionError(f"check {checks[-1].anchor!r} ran as step {anchor!r}")
+    return checks
 
 
 def _route_symmetric_alternating(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
     if info.tag.kind not in ("symmetric", "alternating"):
         return None
     checks = [HypothesisCheck("degree at least 5", "arithmetic", s.n >= 5, f"n = {s.n}")]
-    if info.probe_evidence is not None:
-        ev = info.probe_evidence
+    anchor = "polynomial irreducible with full symmetric or alternating Galois group"
+    ev = info.probe_evidence
+    if ev is not None:
         checks.append(HypothesisCheck(
-            "polynomial irreducible with full symmetric or alternating Galois group",
-            "computed", True,
+            anchor, "computed", True,
             f"probe: {ev.conclusion} (witness prime {ev.irreducible_witness}, "
             f"disc square: {ev.disc_is_square}) -> {info.tag.describe()}"))
     else:
-        checks.append(HypothesisCheck(
-            "polynomial irreducible with full symmetric or alternating Galois group",
-            "given", True, f"supplied as {info.tag.describe()}"))
+        checks.append(HypothesisCheck(anchor, "given", True,
+                                      f"supplied as {info.tag.describe()}"))
     if s.r > 1:
         checks.append(HypothesisCheck(
             "either p does not divide n or q divides n", "arithmetic",
@@ -417,23 +424,12 @@ def _route_psu3(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
 def _route_coprime_order(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
     if info.tag.kind in ("symmetric", "alternating"):
         return None  # covered by the dedicated family route
-    checks = [_check_zeta(s, info)]
-    if checks[-1].failed:
-        _skip_rest(checks, [("group acts doubly transitively on the n roots", "computed"),
-                            ("p does not divide the group order", "computed"),
-                            (f"no maximal subgroup index divides {s.n - 1}", "computed")])
-        return checks
-    checks.append(_check_doubly_transitive(info, s.n))
-    if checks[-1].failed:
-        _skip_rest(checks, [("p does not divide the group order", "computed"),
-                            (f"no maximal subgroup index divides {s.n - 1}", "computed")])
-        return checks
-    checks.append(_check_p_coprime_order(s, info))
-    if checks[-1].failed:
-        _skip_rest(checks, [(f"no maximal subgroup index divides {s.n - 1}", "computed")])
-        return checks
-    checks.append(_check_index_condition(s, info, s.n - 1))
-    return checks
+    return _run_steps([
+        (_zeta_anchor(s), "assumed", lambda: _check_zeta(s, info)),
+        (DOUBLY_TRANSITIVE, "computed", lambda: _check_doubly_transitive(info, s.n)),
+        (COPRIME_ORDER, "computed", lambda: _check_p_coprime_order(s, info)),
+        (_index_anchor(s.n - 1), "computed", lambda: _check_index_condition(s, info, s.n - 1)),
+    ])
 
 
 def _arithmetic_side_condition(s: Scenario, info: _GroupInfo,
@@ -445,13 +441,11 @@ def _arithmetic_side_condition(s: Scenario, info: _GroupInfo,
     records it. When allowed, a very simple heart satisfies the hypothesis
     as the alternative branch of the theorem.
     """
+    anchor = _side_condition_anchor(s)
     if s.r == 1:
-        anchor = "either n = p + 1, or p does not divide n - 1, or the heart is very simple"
         arith_ok = s.n == s.p + 1 or (s.n - 1) % s.p != 0
         detail = f"n = {s.n}, p = {s.p}"
     else:
-        anchor = ("either q divides n, or n = q + 1, or q does not divide n - 1, "
-                  "or the heart is very simple")
         arith_ok = s.n % s.q == 0 or s.n == s.q + 1 or (s.n - 1) % s.q != 0
         detail = f"n = {s.n}, q = {s.q}"
         p_version = s.n == s.p + 1 or (s.n - 1) % s.p != 0
@@ -476,31 +470,13 @@ def _route_index_criterion(s: Scenario, info: _GroupInfo) -> list[HypothesisChec
     if info.tag.kind in ("symmetric", "alternating"):
         return None
     n_bound = heart_dim(s.n, s.p)
-    arith_anchor = (
-        "either n = p + 1, or p does not divide n - 1, or the heart is very simple"
-        if s.r == 1
-        else "either q divides n, or n = q + 1, or q does not divide n - 1, "
-             "or the heart is very simple"
-    )
-    checks = [_check_zeta(s, info)]
-    if checks[-1].failed:
-        _skip_rest(checks, [
-            ("heart of the permutation action is absolutely irreducible", "computed"),
-            (f"no maximal subgroup index divides {n_bound}", "computed"),
-            (arith_anchor, "arithmetic"),
-        ])
-        return checks
-    checks.append(_check_heart_abs_irred(s, info))
-    if checks[-1].failed:
-        _skip_rest(checks, [(f"no maximal subgroup index divides {n_bound}", "computed"),
-                            (arith_anchor, "arithmetic")])
-        return checks
-    checks.append(_check_index_condition(s, info, n_bound))
-    if checks[-1].failed:
-        _skip_rest(checks, [(arith_anchor, "arithmetic")])
-        return checks
-    checks.append(_arithmetic_side_condition(s, info, allow_very_simple=True))
-    return checks
+    return _run_steps([
+        (_zeta_anchor(s), "assumed", lambda: _check_zeta(s, info)),
+        (HEART_ABS_IRRED, "computed", lambda: _check_heart_abs_irred(s, info)),
+        (_index_anchor(n_bound), "computed", lambda: _check_index_condition(s, info, n_bound)),
+        (_side_condition_anchor(s), "arithmetic",
+         lambda: _arithmetic_side_condition(s, info, allow_very_simple=True)),
+    ])
 
 
 _RING_ROUTES = [
@@ -520,7 +496,11 @@ _ALGEBRA_ROUTES = [
 
 
 def dispatch(s: Scenario) -> Certificate:
-    """Evaluate theorem routes in fixed order; first fully satisfied wins."""
+    """Evaluate theorem routes in fixed order; first fully satisfied wins.
+
+    Without a winner the certificate reports the first route attempted;
+    either way a note names where each other attempted route failed.
+    """
     s.validate()
     info = _resolve_group(s)
     routes = _RING_ROUTES if s.r == 1 else _ALGEBRA_ROUTES
@@ -530,24 +510,24 @@ def dispatch(s: Scenario) -> Certificate:
         notes.append(f"galois probe could not certify the group: {info.probe_failure}")
     for name, route in routes:
         checks = route(s, info)
-        if checks is None:
-            continue
-        attempted.append((name, checks))
-        if all(c.passed is True for c in checks):
-            conclusion = _ring_conclusion(s) if s.r == 1 else _algebra_conclusion(s)
-            for other_name, other_checks in attempted[:-1]:
-                ff = next(c for c in other_checks if c.passed is not True)
-                notes.append(f"route {other_name} failed at: {ff.anchor}")
-            return Certificate(name, s, checks, conclusion, tuple(notes))
+        if checks is not None:
+            attempted.append((name, checks))
+            if not any(c.failed for c in checks):
+                break
     if not attempted:
         notes.append("no theorem route applies to this group source")
         return Certificate("none", s, [], EndoConclusion("inconclusive"), tuple(notes))
-    name, checks = attempted[0]
-    for other_name, other_checks in attempted[1:]:
-        ff = next((c for c in other_checks if c.passed is not True), None)
-        if ff is not None:
+    name, checks = attempted[-1]
+    if any(c.failed for c in checks):
+        name, checks = attempted[0]
+        conclusion = EndoConclusion("inconclusive")
+    else:
+        conclusion = _ring_conclusion(s) if s.r == 1 else _algebra_conclusion(s)
+    for other_name, other_checks in attempted:
+        if other_name != name:
+            ff = next(c for c in other_checks if c.failed)
             notes.append(f"route {other_name} failed at: {ff.anchor}")
-    return Certificate(name, s, checks, EndoConclusion("inconclusive"), tuple(notes))
+    return Certificate(name, s, checks, conclusion, tuple(notes))
 
 
 def check_generic_route(s: Scenario, h: PermGroup) -> list[HypothesisCheck]:

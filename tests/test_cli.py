@@ -169,3 +169,37 @@ def test_console_entry_point():
                            "--n", "5", "--p", "7"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "genus 12" in proc.stdout
+
+
+@pytest.mark.parametrize("group, p, golden", [
+    (["M11"], "3", "heart_m11_f3.txt"),
+    (["PSL2(25)"], "5", "heart_psl2_25_f5.txt"),
+    (["A", "--n", "5"], "7", "heart_a5_f7.txt"),
+])
+def test_heart_output_golden(group, p, golden, monkeypatch, capsys):
+    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
+    code, out, _ = run_cli(["heart", "--group", *group, "--p", p], capsys)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+def test_heart_runs_one_meataxe(monkeypatch, capsys):
+    # the MeatAxe result the report prints is the one the verdict reuses
+    from heartproof import modules
+
+    calls = {"is_irreducible": 0, "commutant_dim": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(modules, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(modules, name, counted)
+    code, out, _ = run_cli(["heart", "--group", "M11", "--p", "3"], capsys)
+    assert code == 0 and "[computation] heart irreducible" in out
+    assert calls == {"is_irreducible": 1, "commutant_dim": 1}
+
+
+@pytest.mark.parametrize("tag, ell", [("PSL2(6^2)", 6), ("PSL2(4^2)", 4), ("U3(6,1)", 6)])
+def test_analyze_refuses_non_prime_characteristic(tag, ell, capsys):
+    code, out, err = run_cli(["analyze", "--group", tag, "--p", "5"], capsys)
+    assert code == 1 and out == ""
+    assert f"l = {ell} must be prime" in err

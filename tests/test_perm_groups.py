@@ -108,18 +108,18 @@ def test_subgroup_class_counts():
 def test_index_dividing_examples():
     a5 = alternating_group(5)
     assert exists_subgroup_of_index_dividing(a5, 4)[0] is False
-    ok, witness = exists_subgroup_of_index_dividing(a5, 10)
-    assert ok and "index 5" in witness
+    ok, witness, source = exists_subgroup_of_index_dividing(a5, 10)
+    assert ok and "index 5" in witness and source == "enumeration"
     # the same answers through pure enumeration (custom tag, no family table)
     anon = PermGroup(a5.generators, tag=GroupTag.custom(5))
     assert exists_subgroup_of_index_dividing(anon, 4)[0] is False
     assert exists_subgroup_of_index_dividing(anon, 10)[0] is True
     assert exists_subgroup_of_index_dividing(a5, 1)[0] is False
-    ok, witness = exists_subgroup_of_index_dividing(GroupTag.psl2(13), 12)
-    assert not ok and "14" in witness
+    ok, witness, source = exists_subgroup_of_index_dividing(GroupTag.psl2(13), 12)
+    assert not ok and "14" in witness and source == "table"
     # symmetric groups always have the index-2 subgroup
-    ok, witness = exists_subgroup_of_index_dividing(GroupTag.symmetric(7), 6)
-    assert ok and "index 2" in witness
+    ok, witness, source = exists_subgroup_of_index_dividing(GroupTag.symmetric(7), 6)
+    assert ok and "index 2" in witness and source == "table"
 
 
 def test_index_dividing_too_large():

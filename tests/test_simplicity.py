@@ -1,4 +1,4 @@
-from heartproof import groups, modules, perm, simplicity
+from heartproof import groups, modules, perm, simplicity, verdict
 from heartproof.groups import GroupTag, PermGroup, alternating_group, mathieu_group, psl2_group
 from heartproof.simplicity import (
     Level,
@@ -124,3 +124,41 @@ def test_evidence_nonempty():
                    (GroupTag.psu3(3), 7)]:
         v = decide_heart_simplicity(None, tag, p)
         assert v.evidence
+
+
+# every family tag with a concrete group whose heart the cited table covers
+TABLE_TAGS = [GroupTag.mathieu(n) for n in (11, 12, 22, 23, 24)] + [
+    GroupTag.psl2(ell, r) for ell, r in ((13, 1), (2, 4), (17, 1), (19, 1), (23, 1),
+                                         (5, 2), (3, 3))]
+TABLE_PRIMES = (3, 5, 7, 11, 13)
+
+
+def _concrete(tag):
+    return mathieu_group(tag.n) if tag.kind == "mathieu" else psl2_group(tag.ell, tag.r)
+
+
+def _cited_pairs():
+    return [(tag, p) for tag in TABLE_TAGS for p in TABLE_PRIMES
+            if groups.family_heart_table(tag, p)]
+
+
+def test_heart_table_agrees_with_meataxe():
+    # an independent route to every cited entry in reach: MeatAxe + commutant
+    pairs = _cited_pairs()
+    assert len(pairs) == 57
+    for tag, p in pairs:
+        h = modules.heart(_concrete(tag), p)
+        r = modules.is_irreducible(h)
+        assert r.irreducible and modules.commutant_dim(h, r) == 1, (tag.describe(), p)
+
+
+def test_heart_table_same_answer_from_both_callers():
+    outside = [(GroupTag.psl2(5, 2), 5), (GroupTag.psl2(3, 3), 3), (GroupTag.mathieu(11), 3)]
+    for tag, p in _cited_pairs() + outside:
+        s = verdict.Scenario(tag.n, p, 1, "tag", tag)
+        check = verdict._check_heart_abs_irred(s, verdict._resolve_group(s))
+        v = decide_heart_simplicity(_concrete(tag), tag, p)
+        from_table = not any(e.kind == "computation" for e in v.evidence)
+        assert from_table == (check.kind == "table" and check.passed is True), (tag, p)
+        assert from_table == ((tag, p) not in outside)
+        assert v.level >= Level.CENTRAL_SIMPLE

@@ -20,6 +20,7 @@ from heartproof.verdict import (
 
 A5 = ("(0 1 2)", "(0 1 2 3 4)")
 A6 = ("(0 1 2)", "(1 2 3 4 5)")
+C5 = ("(0 1 2 3 4)",)
 F20 = ("(0 1 2 3 4)", "(1 2 4 3)")
 
 FIXTURES = Path("src/heartproof/data/fixtures.jsonl")
@@ -201,3 +202,74 @@ def test_golden_certificates_byte_exact():
         cert = dispatch(scenario_from_dict(entry["scenario"]))
         golden = (GOLDEN / f"cert_{entry['name']}.json").read_text()
         assert certificate_to_json(cert) == golden, entry["name"]
+
+
+def test_non_prime_characteristic_rejected():
+    for group in ({"kind": "psl2", "ell": 6, "r": 2}, {"kind": "psl2", "ell": 4, "r": 2},
+                  {"kind": "psu3", "ell": 6, "r": 1}):
+        tag = scenario_from_dict({"n": 5, "p": 5, "group": group}).tag
+        s = scenario_from_dict({"n": tag.n, "p": 5, "group": group})
+        with pytest.raises(InvalidScenario, match=f"l = {group['ell']} must be prime"):
+            dispatch(s)
+
+
+SKIPPED = "not evaluated (earlier hypothesis failed)"
+
+
+def _rows(checks):
+    return [(c.anchor, c.kind, c.passed) + ((SKIPPED,) if c.detail == SKIPPED else ())
+            for c in checks]
+
+
+def test_coprime_order_route_skip_rows():
+    s = Scenario(5, 11, 1, "custom", generators=A5)
+    assert _rows(verdict._route_coprime_order(s, verdict._resolve_group(s))) == [
+        ("base field contains a primitive 11-th root of unity", "assumed", False),
+        ("group acts doubly transitively on the n roots", "computed", None, SKIPPED),
+        ("p does not divide the group order", "computed", None, SKIPPED),
+        ("no maximal subgroup index divides 4", "computed", None, SKIPPED),
+    ]
+    s = Scenario(5, 11, 1, "custom", generators=C5, assume_zeta=True)
+    assert _rows(verdict._route_coprime_order(s, verdict._resolve_group(s))) == [
+        ("base field contains a primitive 11-th root of unity", "assumed", True),
+        ("group acts doubly transitively on the n roots", "computed", False),
+        ("p does not divide the group order", "computed", None, SKIPPED),
+        ("no maximal subgroup index divides 4", "computed", None, SKIPPED),
+    ]
+
+
+def test_index_criterion_route_skip_rows():
+    s = Scenario(5, 11, 2, "custom", generators=A5)
+    assert _rows(verdict._route_index_criterion(s, verdict._resolve_group(s))) == [
+        ("base field contains a primitive 121-th root of unity", "assumed", False),
+        ("heart of the permutation action is absolutely irreducible", "computed", None, SKIPPED),
+        ("no maximal subgroup index divides 4", "computed", None, SKIPPED),
+        ("either q divides n, or n = q + 1, or q does not divide n - 1, "
+         "or the heart is very simple", "arithmetic", None, SKIPPED),
+    ]
+    # the cyclic heart splits over F_11, since 11 = 1 mod 5
+    s = Scenario(5, 11, 1, "custom", generators=C5, assume_zeta=True)
+    assert _rows(verdict._route_index_criterion(s, verdict._resolve_group(s))) == [
+        ("base field contains a primitive 11-th root of unity", "assumed", True),
+        ("heart of the permutation action is absolutely irreducible", "computed", False),
+        ("no maximal subgroup index divides 4", "computed", None, SKIPPED),
+        ("either n = p + 1, or p does not divide n - 1, or the heart is very simple",
+         "arithmetic", None, SKIPPED),
+    ]
+    # F20's heart is absolutely simple (shortcut), but C5 has index 4
+    s = Scenario(5, 7, 1, "custom", generators=F20, assume_zeta=True)
+    assert _rows(verdict._route_index_criterion(s, verdict._resolve_group(s))) == [
+        ("base field contains a primitive 7-th root of unity", "assumed", True),
+        ("heart of the permutation action is absolutely irreducible", "computed", True),
+        ("no maximal subgroup index divides 4", "computed", False),
+        ("either n = p + 1, or p does not divide n - 1, or the heart is very simple",
+         "arithmetic", None, SKIPPED),
+    ]
+
+
+def test_route_runner_refuses_anchor_drift():
+    def drifted():
+        return verdict.HypothesisCheck("no maximal subgroup index divides 5", "computed", True)
+
+    with pytest.raises(AssertionError):
+        verdict._run_steps([("no maximal subgroup index divides 4", "computed", drifted)])
