@@ -139,11 +139,11 @@ def _concrete_group(args) -> PermGroup:
 def _cmd_heart(args) -> int:
     try:
         g = _concrete_group(args)
+        h = modules.heart(g, args.p)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     seed = int(os.environ.get("HEARTPROOF_SEED", args.seed))
-    h = modules.heart(g, args.p)
     print(f"group: {g.tag.describe()} on {g.degree} points, order {g.order}")
     print(f"heart: dimension {h.dim} ({h.kind}) over F_{args.p}")
     result = modules.is_irreducible(h, seed=seed)

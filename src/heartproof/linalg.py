@@ -1,7 +1,9 @@
 """Dense linear algebra over F_p on numpy int64 arrays.
 
-All matrices carry canonical entries in [0, p). Dimensions in this project
-stay far below the int64 overflow threshold for accumulated products.
+All matrices carry canonical entries in [0, p). A product of two d x d
+matrices accumulates d terms below p^2, so the arithmetic is exact when
+d * p^2 < 2^63; `modules.heart` and `modules.permutation_module` refuse
+larger p.
 """
 
 from __future__ import annotations

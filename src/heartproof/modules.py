@@ -39,11 +39,14 @@ class BadCongruence(ValueError):
     """Raised when p is not +-1 mod 5 where that congruence is required."""
 
 
-def _require_odd_prime(p: int):
+def _require_odd_prime(p: int, dim: int):
     from .fields import is_prime
 
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
+    if dim * p * p >= 2 ** 63:
+        raise ValueError(f"p = {p} is too large for dimension {dim}: "
+                         "exact int64 arithmetic needs dim * p^2 < 2^63")
 
 
 @dataclass
@@ -103,7 +106,7 @@ def permutation_matrix(g: Perm, p: int) -> np.ndarray:
 
 def permutation_module(g: PermGroup, p: int) -> GModule:
     """The natural module F_p^B; the trace of any element counts its fixed points."""
-    _require_odd_prime(p)
+    _require_odd_prime(p, g.degree)
     mats = [permutation_matrix(x, p) for x in g.generators] or []
     return GModule(g, p, g.degree, mats, label=f"perm(dim {g.degree})")
 
@@ -133,36 +136,50 @@ def heart_matrix(g: Perm, p: int) -> np.ndarray:
 
 def heart(g: PermGroup, p: int) -> HeartModule:
     """The heart of the permutation representation of g over F_p."""
-    _require_odd_prime(p)
+    n = g.degree
+    _require_odd_prime(p, n - 1)  # n - 1 bounds the heart's dimension
     if not g.is_transitive():
         warnings.warn("heart of an intransitive action; dimension laws still apply", stacklevel=2)
-    n = g.degree
     kind = "quotient" if n % p == 0 else "hyperplane"
     dim = n - 2 if kind == "quotient" else n - 1
     mats = [heart_matrix(x, p) for x in g.generators]
     return HeartModule(g, p, dim, mats, label=f"heart(n={n})", n=n, kind=kind)
 
 
-def spin(vectors: list[np.ndarray], mats: list[np.ndarray], p: int) -> np.ndarray:
-    """Row-echelon basis of the smallest invariant subspace containing the rows."""
-    dim = mats[0].shape[0] if mats else len(vectors[0])
-    basis = linalg.rref(np.array([v % p for v in vectors]), p)[0]
-    basis = basis[~np.all(basis == 0, axis=1)]
-    queue = list(basis)
-    while queue:
-        v = queue.pop(0)
-        for m in mats:
-            w = (v @ m) % p
-            stacked, _ = linalg.rref(np.vstack([basis, w]), p)
-            stacked = stacked[~np.all(stacked == 0, axis=1)]
-            if stacked.shape[0] > basis.shape[0]:
-                basis = stacked
-                # enqueue the raw image: the last echelon row need not be
-                # the new direction after pivot reordering
-                queue.append(w)
-                if basis.shape[0] == dim:
-                    return basis
-    return basis
+def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
+    """Spin v into a basis of the submodule it generates, keeping how each
+    row was made (the Holt-Rees standard basis).
+
+    Returns the rows and a recipe: rows[0] = v and rows[i] = rows[src] @
+    mats[g] for recipe[i - 1] = (src, g). Membership is tested against a
+    semi-echelon copy of the rows, one vector at a time.
+    """
+    rows = [v % p]
+    recipe: list[tuple[int, int]] = []
+    # (pivot, row scaled to 1 there), each row zero at the earlier pivots
+    echelon: list[tuple[int, np.ndarray]] = []
+
+    def add(x: np.ndarray) -> bool:
+        for piv, row in echelon:
+            if x[piv]:
+                x = (x - x[piv] * row) % p
+        nz = np.flatnonzero(x)
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        echelon.append((piv, x * pow(int(x[piv]), -1, p) % p))
+        return True
+
+    add(rows[0])
+    i = 0
+    while i < len(rows) and len(rows) < len(v):
+        for g, m in enumerate(mats):
+            w = (rows[i] @ m) % p
+            if add(w):
+                rows.append(w)
+                recipe.append((i, g))
+        i += 1
+    return np.array(rows), recipe
 
 
 @dataclass
@@ -212,15 +229,12 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
             null_rows = kernel_basis(fa.T, p)
             if not null_rows:
                 continue
-            v = null_rows[0]
-            w_basis = spin([v], mats, p)
-            if w_basis.shape[0] < dim:
-                return IrreducibilityResult(False, invariant_subspace=w_basis)
-            dual_null = kernel_basis(fa, p)
-            w = dual_null[0]
-            dual_basis = spin([w], mats_t, p)
-            if dual_basis.shape[0] < dim:
-                sub = np.array(kernel_basis(dual_basis, p))
+            rows, _ = spin(null_rows[0], mats, p)
+            if rows.shape[0] < dim:
+                return IrreducibilityResult(False, invariant_subspace=linalg.rref(rows, p)[0])
+            dual_rows, _ = spin(kernel_basis(fa, p)[0], mats_t, p)
+            if dual_rows.shape[0] < dim:
+                sub = np.array(kernel_basis(dual_rows, p))
                 return IrreducibilityResult(False, invariant_subspace=linalg.rref(sub, p)[0])
             if len(null_rows) == len(f) - 1:
                 cert = {
@@ -231,41 +245,6 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
                 }
                 return IrreducibilityResult(True, certificate=cert)
     raise RandomnessExhausted(f"no singular element of minimal nullity in {budget} attempts")
-
-
-def _standard_basis(v: np.ndarray, mats: list[np.ndarray], p: int):
-    """Spin v into a basis of its submodule, keeping how each row was made.
-
-    Returns the rows and a recipe: rows[0] = v and rows[i] = rows[src] @
-    mats[g] for recipe[i - 1] = (src, g). Membership is tested against a
-    semi-echelon copy of the rows, one vector at a time.
-    """
-    rows = [v % p]
-    recipe: list[tuple[int, int]] = []
-    # (pivot, row scaled to 1 there), each row zero at the earlier pivots
-    echelon: list[tuple[int, np.ndarray]] = []
-
-    def add(x: np.ndarray) -> bool:
-        for piv, row in echelon:
-            if x[piv]:
-                x = (x - x[piv] * row) % p
-        nz = np.flatnonzero(x)
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        echelon.append((piv, x * pow(int(x[piv]), -1, p) % p))
-        return True
-
-    add(rows[0])
-    i = 0
-    while i < len(rows) and len(rows) < len(v):
-        for g, m in enumerate(mats):
-            w = (rows[i] @ m) % p
-            if add(w):
-                rows.append(w)
-                recipe.append((i, g))
-        i += 1
-    return np.array(rows), recipe
 
 
 def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
@@ -292,7 +271,7 @@ def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
     e = len(null_rows)
     if e == 1:
         return 1
-    basis, recipe = _standard_basis(null_rows[0], mats, p)
+    basis, recipe = spin(null_rows[0], mats, p)
     if basis.shape[0] < d:
         raise ValueError("irreducibility certificate does not match this module")
     images = np.empty((d, e, d), dtype=np.int64)

@@ -168,8 +168,11 @@ class _GroupInfo:
 
 
 # custom groups recur across scenarios (fixtures, fuzzing); construction and
-# the subgroup lattice they memoize are deterministic, so sharing is safe
+# the subgroup lattice they memoize are deterministic, so sharing is safe.
+# The oldest entry goes first once the cache is full, so a long-lived caller
+# does not keep every presentation it was ever given.
 _CUSTOM_GROUP_CACHE: dict[tuple, PermGroup] = {}
+_CUSTOM_GROUP_CACHE_SIZE = 32
 
 
 def _resolve_group(s: Scenario) -> _GroupInfo:
@@ -184,6 +187,8 @@ def _resolve_group(s: Scenario) -> _GroupInfo:
                 raise InvalidScenario("generator moves a point beyond n")
             g = PermGroup([perm.extend(x, s.n) for x in perms], degree=s.n,
                           tag=GroupTag.custom(s.n))
+            if len(_CUSTOM_GROUP_CACHE) >= _CUSTOM_GROUP_CACHE_SIZE:
+                del _CUSTOM_GROUP_CACHE[next(iter(_CUSTOM_GROUP_CACHE))]
             _CUSTOM_GROUP_CACHE[key] = g
         return _GroupInfo(g.tag, g)
     f = probe.parse_poly(s.poly)

@@ -122,6 +122,18 @@ def test_heart_command(capsys):
     assert "dimension 4" in out and "VERY_SIMPLE" in out
 
 
+@pytest.mark.parametrize("p, message", [
+    ("9", "p = 9 must be an odd prime"),
+    ("2", "p = 2 must be an odd prime"),
+    ("4611686018427387847", "p = 4611686018427387847 is too large for dimension 4: "
+                            "exact int64 arithmetic needs dim * p^2 < 2^63"),
+], ids=["p9", "p2", "p_past_int64"])
+def test_heart_refuses_bad_characteristic(p, message, capsys):
+    code, out, err = run_cli(["heart", "--group", "A", "--n", "5", "--p", p], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_fixtures_bundled(capsys):
     code, out, _ = run_cli(["fixtures"], capsys)
     assert code == 0
@@ -172,13 +184,19 @@ def test_console_entry_point():
 
 
 @pytest.mark.parametrize("group, p, golden", [
-    (["M11"], "3", "heart_m11_f3.txt"),
-    (["PSL2(25)"], "5", "heart_psl2_25_f5.txt"),
-    (["A", "--n", "5"], "7", "heart_a5_f7.txt"),
+    (["--group", "M11"], "3", "heart_m11_f3.txt"),
+    (["--group", "PSL2(25)"], "5", "heart_psl2_25_f5.txt"),
+    (["--group", "A", "--n", "5"], "7", "heart_a5_f7.txt"),
+    # a reducible heart: the cyclic group of order 7
+    (["--group-file", "(0 1 2 3 4 5 6)\n"], "11", "heart_c7_f11.txt"),
 ])
-def test_heart_output_golden(group, p, golden, monkeypatch, capsys):
+def test_heart_output_golden(group, p, golden, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
-    code, out, _ = run_cli(["heart", "--group", *group, "--p", p], capsys)
+    if group[0] == "--group-file":
+        path = tmp_path / "group.txt"
+        path.write_text(group[1])
+        group = ["--group-file", str(path)]
+    code, out, _ = run_cli(["heart", *group, "--p", p], capsys)
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / golden).read_text()
 

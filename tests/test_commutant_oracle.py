@@ -1,15 +1,17 @@
-"""The certificate route to commutant dimensions against the Kronecker oracle
-on hypothesis-drawn transitive groups."""
+"""The certificate route to commutant dimensions against the Kronecker oracle,
+and the spin-up against the span of a vector's images under every group
+element, on hypothesis-drawn transitive groups."""
 
 from math import gcd
 
+import numpy as np
 import pytest
 
-from heartproof import modules
+from heartproof import linalg, modules
 from heartproof.groups import PermGroup
 
 st = pytest.importorskip("hypothesis.strategies")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 
 from kronecker import kronecker_commutant_dim  # noqa: E402
 
@@ -45,3 +47,29 @@ def test_commutant_matches_kronecker_on_irreducible_hearts(g, p):
     result = modules.is_irreducible(h, seed=0)
     if result.irreducible:
         assert modules.commutant_dim(h, result) == kronecker_commutant_dim(h)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(transitive_groups(), st.sampled_from([3, 5, 7, 11, 13]), st.data())
+def test_spin_spans_the_orbit_of_v(g, p, data):
+    assume(g.order <= 5000)
+    h = modules.heart(g, p)
+    # eigenvectors of the first generator span little under it alone, so
+    # they tell a spin that skips generators from one that does not
+    first = h.gen_matrices[0]
+    eigen = [u for lam in range(1, p)
+             for u in linalg.kernel_basis((first - lam * linalg.identity(h.dim)).T % p, p)]
+    if eigen and data.draw(st.booleans()):
+        v = data.draw(st.sampled_from(eigen))
+    else:
+        v = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=h.dim, max_size=h.dim)))
+    assume(v.any())
+    rows, recipe = modules.spin(v, h.gen_matrices, p)
+    images = np.array([v @ modules.heart_matrix(x, p) for x in g.elements()]) % p
+    span = linalg.rref(images, p)[0]
+    assert linalg.rank(rows, p) == rows.shape[0]
+    assert np.array_equal(linalg.rref(rows, p)[0], span[: rows.shape[0]])
+    assert not span[rows.shape[0]:].any()
+    assert np.array_equal(rows[0], v)
+    for i, (src, gen) in enumerate(recipe, start=1):
+        assert np.array_equal(rows[i], rows[src] @ h.gen_matrices[gen] % p)

@@ -198,6 +198,28 @@ def test_odd_prime_required():
         permutation_module(symmetric_group(5), 2)
 
 
+def test_modulus_guard_at_the_int64_bound():
+    # the largest prime with 4 p^2 < 2^63 and the smallest one past it
+    below, above = 1518500213, 1518500279
+    h = heart(alternating_group(5), below)
+    assert h.dim == 4
+    assert permutation_module(symmetric_group(4), below).dim == 4
+    with pytest.raises(ValueError, match=r"dim \* p\^2 < 2\^63"):
+        heart(alternating_group(5), above)
+    with pytest.raises(ValueError, match=r"dim \* p\^2 < 2\^63"):
+        permutation_module(symmetric_group(4), above)
+    rng = random.Random(0)
+    worst = [[below - 1] * 4 for _ in range(4)]
+    drawn = [[rng.randrange(below) for _ in range(4)] for _ in range(4)]
+    for a, b in [(worst, worst), (worst, drawn), (drawn, drawn)]:
+        exact = [[sum(a[i][k] * b[k][j] for k in range(4)) % below for j in range(4)]
+                 for i in range(4)]
+        got = linalg.mat_mul(linalg.asmat(a, below), linalg.asmat(b, below), below)
+        assert got.tolist() == exact
+    r = is_irreducible(h)
+    assert r.irreducible and commutant_dim(h, r) == 1
+
+
 def test_module_validate():
     assert heart(alternating_group(6), 5).validate()
     assert permutation_module(symmetric_group(5), 7).validate()

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -181,6 +182,19 @@ def test_psl2_heart_table_range():
     assert heart_check(3, 3, 3) is None    # PSL2(27), p = l, q != l
     assert heart_check(13, 1, 13) is True  # q = l = p
     assert heart_check(13, 1, 5) is True   # p != l
+
+
+def test_custom_group_cache_drops_the_oldest(monkeypatch):
+    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+    scenarios = []
+    for r in itertools.islice(itertools.permutations(range(5)), 33):
+        gens = (f"({r[0]} {r[1]} {r[2]})", "(" + " ".join(map(str, r)) + ")")
+        scenarios.append(Scenario(5, 11, 1, "custom", generators=gens))
+    groups = [verdict._resolve_group(s).concrete for s in scenarios]
+    assert len(verdict._CUSTOM_GROUP_CACHE) == 32
+    assert verdict._resolve_group(scenarios[-1]).concrete is groups[-1]
+    assert verdict._resolve_group(scenarios[0]).concrete is not groups[0]
+    assert len(verdict._CUSTOM_GROUP_CACHE) == 32
 
 
 def test_probe_route():
