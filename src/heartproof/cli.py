@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import modules, probe, simplicity, verdict, weights
@@ -334,8 +335,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser, built on the first `main` call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) in ("analyze", "heart") and not (
         getattr(args, "group", None) or getattr(args, "group_file", None)

@@ -21,11 +21,24 @@ class NotPrime(ValueError):
     """Raised when a claimed prime modulus is composite."""
 
 
+# psi_13, the least strong pseudoprime to the 13 prime bases 2..41
+# (Sorenson and Webster, Math. Comp. 86, 2017): below it the Miller-Rabin
+# test with those bases is proven exact.
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for arbitrary size inputs."""
+    """Deterministic Miller-Rabin, exact for n < PRIME_TEST_LIMIT.
+
+    Raises ValueError at or above the limit, where the test is unproven.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is too large: the primality test is proven exact "
+                         f"only below {PRIME_TEST_LIMIT}")
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -33,9 +46,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    # This witness set is a proven deterministic test below 3.3 * 10^24,
-    # far beyond any modulus used here.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

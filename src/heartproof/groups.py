@@ -34,7 +34,9 @@ class NotSubgroup(ValueError):
 
 
 class TooLarge(ValueError):
-    """Raised when a group exceeds the exhaustive-search threshold."""
+    """Raised when a group's order exceeds SUBGROUP_ENUM_THRESHOLD, the cap on
+    the searches that list elements: `PermGroup.elements`, `subgroup_classes`
+    and the subgroup-index search of `exists_subgroup_of_index_dividing`."""
 
 
 SUBGROUP_ENUM_THRESHOLD = 20000
@@ -280,6 +282,9 @@ class PermGroup:
         self.chain = StabilizerChain(list(self.generators), degree)
         self.order = self.chain.order()
         self._elements: tuple[Perm, ...] | None = None
+        self._stabilizer: PermGroup | None = None
+        # subgroup index d -> generators of a witness, or None if there is none
+        self._index_witnesses: dict[int, tuple[Perm, ...] | None] = {}
 
     def __contains__(self, g) -> bool:
         return self.chain.contains(tuple(g))
@@ -298,6 +303,12 @@ class PermGroup:
                 raise TooLarge(f"group of order {self.order} exceeds element limit {limit}")
             self._elements = tuple(sorted(_closure(self.generators, self.degree)))
         return self._elements
+
+    def base_point_stabilizer(self) -> "PermGroup":
+        """G_b for the chain's first base point b, built once from the chain."""
+        if self._stabilizer is None:
+            self._stabilizer = PermGroup(self.chain._gens_for(1), degree=self.degree)
+        return self._stabilizer
 
     def orbit(self, point: int) -> list[int]:
         seen = {point}
@@ -487,7 +498,10 @@ def subgroup_classes(g: PermGroup, limit: int = SUBGROUP_ENUM_THRESHOLD) -> list
 
     Every subgroup arises as <H, x> from some already-found H, so extending
     class representatives by right-coset representatives reaches every
-    conjugacy class. Feasible for |G| <= the enumeration threshold.
+    conjugacy class. Feasible for |G| <= the enumeration threshold; the
+    result is memoised on g. Three callers remain: the subgroup-index search
+    (on the point stabilizer G_b only), `modules.sl2f5_two_dim_reps`, and the
+    tests, as the oracle for the index search.
     """
     if g.order > limit:
         raise TooLarge(f"|G| = {g.order} exceeds enumeration threshold {limit}")
@@ -495,6 +509,7 @@ def subgroup_classes(g: PermGroup, limit: int = SUBGROUP_ENUM_THRESHOLD) -> list
     if cached is not None:
         return cached
     elements = list(g.elements(limit))
+    whole = frozenset(elements)
     degree = g.degree
     ident = perm.identity(degree)
 
@@ -538,12 +553,29 @@ def subgroup_classes(g: PermGroup, limit: int = SUBGROUP_ENUM_THRESHOLD) -> list
             coset = {perm.mult(s, x) for s in rep.elements}
             covered.update(coset)
             new_gens = rep.gens + (x,)
-            closure = frozenset(_closure(list(new_gens), degree))
-            register(closure, new_gens)
+            register(_join(rep.elements, new_gens, whole), new_gens)
             if len(seen) > 200000:
                 raise TooLarge("subgroup lattice too large to enumerate")
     g._subgroup_classes = reps
     return reps
+
+
+def _join(h: frozenset, gens: tuple[Perm, ...], whole: frozenset) -> frozenset:
+    """The elements of <gens>, a subgroup of the group whole that contains
+    the subgroup h, built as a union of right cosets h y: the union is the
+    subgroup once it holds r g for every coset representative r and
+    generator g. Past half of whole it can only be whole itself."""
+    elems = set(h)
+    reps = [perm.identity(len(gens[0]))]
+    for r in reps:
+        for g in gens:
+            y = perm.mult(r, g)
+            if y not in elems:
+                elems.update(perm.mult(c, y) for c in h)
+                if 2 * len(elems) > len(whole):
+                    return whole
+                reps.append(y)
+    return frozenset(elems)
 
 
 def exists_subgroup_of_index_dividing(
@@ -551,10 +583,34 @@ def exists_subgroup_of_index_dividing(
 ) -> tuple[bool, str, str]:
     """Is there a proper subgroup of index d with 1 < d and d | n_bound?
 
-    Family tags answer from minimal-index tables; otherwise the subgroup
-    lattice is enumerated (|G| <= threshold), else TooLarge is raised.
-    Index 1 never counts. Returns (answer, witness text, source), source
-    being 'arithmetic', 'table' or 'enumeration'.
+    Family tags answer from minimal-index tables. A concrete group of order
+    at most the threshold is searched exactly, one divisor d at a time in
+    ascending order, so a witness has the smallest qualifying index; a
+    larger concrete group raises TooLarge. Index 1 never counts. Returns (answer,
+    witness text, source), source being 'arithmetic', 'table' or
+    'enumeration'. Answers are memoised per (group, d) on the group.
+
+    The search rests on orbit-stabilizer counting. Let b be the first base
+    point of the chain, Omega = b^G its orbit and G_b its stabilizer.
+
+    Lemma. If H <= G has index d and its orbit through b has length m, then
+    H_b = H & G_b has index d*m/|Omega| in G_b.
+    Proof. |G : H_b| = |G : H| |H : H_b| = d*m, and also
+    |G : H_b| = |G : G_b| |G_b : H_b| = |Omega| |G_b : H_b|.
+
+    Conjugating H by an element of G_b keeps d and m, so H_b may be taken
+    to be a class representative K of G_b of index e = d*m/|Omega|. H is
+    the union of the cosets K h_y, one for each y in b^H, where h_y in H
+    sends b to y; each is a coset K s t_y with s in G_b and t_y the chain's
+    transversal element for y, and H holds all of it, its least element
+    included. `_subgroup_of_index` grows K by such least elements x, for
+    points y outside the current orbit, and keeps <K, x, ...> only while
+    its stabilizer of b is K and its orbit length divides m; orbit length
+    m then means index d. Nothing is missed: if a kept group C lies in such
+    an H and its orbit is smaller, some y in b^H is outside b^C, the least
+    element x of H_b h_y lies in H, and <C, x> is kept and lies in H. A
+    kept group's orbit length is its index over K, so each step at least
+    doubles the orbit and the depth is at most log2(m).
     """
     tag = g_or_tag.tag if isinstance(g_or_tag, PermGroup) else g_or_tag
     divisors = [d for d in range(2, n_bound + 1) if n_bound % d == 0]
@@ -575,21 +631,104 @@ def exists_subgroup_of_index_dividing(
         # divisors at or above the minimal index: table alone cannot decide
 
     if isinstance(g_or_tag, PermGroup):
-        if g_or_tag.order > limit:
+        g = g_or_tag
+        if g.order > limit:
             raise TooLarge(
-                f"|G| = {g_or_tag.order} exceeds enumeration threshold and no table applies"
+                f"|G| = {g.order} exceeds enumeration threshold and no table applies"
             )
-        for rep in sorted(subgroup_classes(g_or_tag, limit), key=lambda r: -r.order):
-            if rep.order == g_or_tag.order:
-                continue
-            index = g_or_tag.order // rep.order
-            if index in divisors:
-                gens = ", ".join(perm.format_perm(p) for p in rep.gens) or "()"
-                return (True, f"subgroup of order {rep.order}, index {index}, generated by {gens}",
+        for d in divisors:
+            if d not in g._index_witnesses:
+                g._index_witnesses[d] = _subgroup_of_index(g, d)
+            witness = g._index_witnesses[d]
+            if witness is not None:
+                gens = ", ".join(perm.format_perm(p) for p in witness) or "()"
+                return (True, f"subgroup of order {g.order // d}, index {d}, generated by {gens}",
                         "enumeration")
         return (False, f"exhaustive enumeration: no proper subgroup index divides {n_bound}",
                 "enumeration")
     raise TooLarge("no concrete group available and the family table is inconclusive")
+
+
+def _subgroup_of_index(g: PermGroup, d: int) -> tuple[Perm, ...] | None:
+    """Generators of a subgroup of index d in g, or None if there is none:
+    the search of `exists_subgroup_of_index_dividing`."""
+    if g.order % d:
+        return None
+    level = g.chain.levels[0]
+    b, omega = level.base, level.transversal
+    stab = g.base_point_stabilizer()
+    classes = subgroup_classes(stab)
+    for m in range(1, len(omega) + 1):
+        for k in classes:
+            # |G_b : K| = d * m / |Omega|
+            if k.order * d * m == stab.order * len(omega):
+                found = _grow_to_orbit(k, stab, b, omega, m)
+                if found is not None:
+                    return found
+    return None
+
+
+def _grow_to_orbit(k: SubgroupClass, stab: PermGroup, b: int, omega: dict[int, Perm],
+                   m: int) -> tuple[Perm, ...] | None:
+    """Generators of some H >= K with H_b = K and |b^H| = m, or None.
+
+    Depth-first over the least elements x of the cosets K s t_y (s in G_b,
+    y outside the current orbit); a group kept once is not searched again.
+    """
+    cosets: list[list[Perm]] = []
+    covered: set[Perm] = set()
+    for s in stab.elements():
+        if s not in covered:
+            cosets.append([perm.mult(c, s) for c in k.elements])
+            covered.update(cosets[-1])
+    least: dict[int, list[Perm]] = {}
+    seen: set[frozenset] = set()
+
+    def extend(gens: tuple[Perm, ...], orbit) -> tuple[Perm, ...] | None:
+        if len(orbit) == m:
+            return gens
+        for y in sorted(omega.keys() - orbit):
+            if y not in least:
+                least[y] = sorted(min(perm.mult(c, omega[y]) for c in coset) for coset in cosets)
+            for x in least[y]:
+                grown = gens + (x,)
+                reps = _orbit_over_stabilizer(grown, b, k.elements, m)
+                if reps is None or m % len(reps):
+                    continue
+                key = frozenset(min(perm.mult(c, u) for c in k.elements) for u in reps.values())
+                if key in seen:
+                    continue
+                seen.add(key)
+                found = extend(grown, reps.keys())
+                if found is not None:
+                    return found
+        return None
+
+    return extend(k.gens, {b})
+
+
+def _orbit_over_stabilizer(gens: tuple[Perm, ...], b: int, k: frozenset,
+                           m: int) -> dict[int, Perm] | None:
+    """Orbit of b under H = <gens> with a transversal u, if the orbit has at
+    most m points and H_b is k, a subgroup of G_b generated by some of gens;
+    else None. By Schreier's lemma H_b is generated by the u_z x u_{z^x}^-1,
+    so H_b = k exactly when all of them lie in k."""
+    reps = {b: perm.identity(len(gens[0]))}
+    queue = [b]
+    for z in queue:
+        for x in gens:
+            y = x[z]
+            if y not in reps:
+                if len(reps) == m:
+                    return None
+                reps[y] = perm.mult(reps[z], x)
+                queue.append(y)
+    inverses = {z: perm.inverse(u) for z, u in reps.items()}
+    for z, u in reps.items():
+        for x in gens:
+            if perm.mult(perm.mult(u, x), inverses[x[z]]) not in k:
+                return None
+    return reps
 
 
 def _family_index_table(tag: GroupTag) -> tuple[set[int], int] | None:

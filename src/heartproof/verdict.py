@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from . import perm, probe, simplicity
-from .fields import is_prime
+from .fields import PRIME_TEST_LIMIT, is_prime
 from .groups import (
     GroupTag,
     PermGroup,
@@ -72,6 +72,9 @@ class Scenario:
     def validate(self):
         if self.n < 5:
             raise InvalidScenario(f"degree n = {self.n} must be at least 5")
+        if self.p >= PRIME_TEST_LIMIT:
+            raise InvalidScenario(f"p = {self.p} is too large: primality is proven "
+                                  f"only below {PRIME_TEST_LIMIT}")
         if self.p < 3 or not is_prime(self.p):
             raise InvalidScenario(f"p = {self.p} must be an odd prime")
         if self.r < 1:
@@ -168,7 +171,8 @@ class _GroupInfo:
 
 
 # custom groups recur across scenarios (fixtures, fuzzing); construction and
-# the subgroup lattice they memoize are deterministic, so sharing is safe.
+# what a group memoizes (its point stabilizer, that stabilizer's subgroup
+# classes, its subgroup-index answers) are deterministic, so sharing is safe.
 # The oldest entry goes first once the cache is full, so a long-lived caller
 # does not keep every presentation it was ever given.
 _CUSTOM_GROUP_CACHE: dict[tuple, PermGroup] = {}

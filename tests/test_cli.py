@@ -62,6 +62,32 @@ def test_analyze_usage_error(capsys):
     assert code == 64
 
 
+def test_parser_is_reused_across_calls(capsys):
+    # one parser serves every in-process call: a usage error leaves no state
+    # behind, and each call's options start from their defaults
+    first = run_cli(["analyze", "--group", "S", "--n", "7", "--p", "11"], capsys)
+    assert first[0] == 0
+    assert run_cli(["analyze", "--p", "7"], capsys)[0] == 64
+    assert run_cli(["analyze", "--group", "S", "--n", "7", "--p", "11", "--r", "0"],
+                   capsys)[0] == 1
+    assert run_cli(["analyze", "--group", "S", "--n", "7", "--p", "11"], capsys) == first
+    code, out, _ = run_cli(["weights", "--n", "5", "--p", "3"], capsys)
+    assert code == 0 and out
+
+
+def test_analyze_refuses_p_beyond_the_proven_prime_test(capsys):
+    # a strong pseudoprime to the bases 2..37, which once passed as prime
+    code, out, err = run_cli(["analyze", "--group", "S", "--n", "7",
+                              "--p", "318665857834031151167461"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: p = 318665857834031151167461 must be an odd prime\n"
+    code, out, err = run_cli(["analyze", "--group", "S", "--n", "7",
+                              "--p", "3317044064679887385961981"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: p = 3317044064679887385961981 is too large: "
+                   "primality is proven only below 3317044064679887385961981\n")
+
+
 def test_analyze_json_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "cert.json"
     code, out, _ = run_cli(

@@ -55,6 +55,26 @@ def test_is_prime():
     assert not fields.is_prime(65541)
 
 
+@pytest.mark.parametrize("n, factors", [
+    (3825123056546413051, (149491, 747451, 34233211)),   # psi_9 = psi_10 = psi_11
+    (318665857834031151167461, (399165290221, 798330580441)),   # psi_12
+])
+def test_is_prime_rejects_strong_pseudoprimes(n, factors):
+    assert n == factors[0] * factors[1] * (factors[2] if len(factors) > 2 else 1)
+    assert not fields.is_prime(n)
+    assert all(fields.is_prime(f) for f in factors)
+
+
+def test_is_prime_refuses_inputs_at_the_proven_limit():
+    # psi_13 is the least n the 13 bases 2..41 do not decide
+    assert fields.PRIME_TEST_LIMIT == 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="proven exact only below 3317044064679887385961981"):
+        fields.is_prime(fields.PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError):
+        fields.is_prime(fields.PRIME_TEST_LIMIT + 2)
+    assert fields.is_prime(3317044064679887385961813)   # the largest prime below it
+
+
 def test_lowest_irreducible_pinned():
     # reproducible moduli, ascending coefficients
     assert fields.lowest_irreducible(2, 2) == [1, 1, 1]       # x^2+x+1

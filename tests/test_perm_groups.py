@@ -122,6 +122,56 @@ def test_index_dividing_examples():
     assert ok and "index 2" in witness and source == "table"
 
 
+def _relabelled(g: PermGroup, r) -> PermGroup:
+    return PermGroup([perm.conjugate(x, r) for x in g.generators], degree=g.degree)
+
+
+def test_index_search_lemma_on_intransitive_groups():
+    # the base point's orbit Omega is a proper part of the points, so the
+    # index of H & G_b in G_b is |G : H| * |b^H| / |Omega|, not |G : H| * |b^H| / n
+    for gens in (["(0 1 2)", "(1 2)", "(3 4 5 6)", "(3 5)"], ["(0 1)", "(2 3 4 5 6)"]):
+        g = PermGroup([perm.parse_perm(x, 7) for x in gens], degree=7)
+        b = g.chain.base()[0]
+        omega = g.orbit(b)
+        stab = g.base_point_stabilizer()
+        assert len(omega) < g.degree and stab.order * len(omega) == g.order
+        assert all(x[b] == b for x in stab.generators)
+        indices = set()
+        for h in subgroup_classes(g):
+            d = g.order // h.order
+            m = len({x[b] for x in h.elements})
+            h_b = [x for x in h.elements if x[b] == b]
+            assert stab.order * len(omega) == len(h_b) * d * m
+            indices.add(d)
+        for d in range(2, g.order + 1):
+            witness = groups._subgroup_of_index(g, d)
+            assert (witness is not None) == (d in indices), d
+            if witness is not None:
+                assert all(x in g for x in witness)
+                assert PermGroup(witness, degree=g.degree).order * d == g.order
+
+
+def test_index_search_work_on_a_custom_psl2_11(monkeypatch):
+    # PSL(2, 11) on the 12 points of the projective line, relabelled so that
+    # no family table applies: A5 has index 11, and no index divides 10
+    g = _relabelled(psl2_group(11), tuple((5 * i + 7) % 12 for i in range(12)))
+    assert g.tag.kind == "custom"
+    mult, calls = perm.mult, []
+
+    def counted(p, q):
+        calls.append(1)
+        return mult(p, q)
+
+    monkeypatch.setattr(perm, "mult", counted)
+    ok, witness, source = exists_subgroup_of_index_dividing(g, 11)
+    assert ok and source == "enumeration"
+    assert witness.startswith("subgroup of order 60, index 11, generated by ")
+    ok, witness, _ = exists_subgroup_of_index_dividing(g, 10)
+    assert not ok and witness == "exhaustive enumeration: no proper subgroup index divides 10"
+    # listing the whole subgroup lattice of G took 1 833 263 compositions
+    assert len(calls) <= 100_000
+
+
 def test_index_dividing_too_large():
     big = PermGroup(symmetric_group(9).generators, tag=GroupTag.custom(9))
     with pytest.raises(TooLarge):
