@@ -220,6 +220,17 @@ def _cmd_probe(args) -> int:
     return 0
 
 
+def _prime_budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= budget <= probe.MAX_PRIME_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"{budget} is outside 1..{probe.MAX_PRIME_BUDGET} (MAX_PRIME_BUDGET)")
+    return budget
+
+
 def _bundled_fixtures() -> Path:
     import importlib.resources
 
@@ -234,7 +245,7 @@ def run_fixture_line(line: str):
     try:
         scenario = verdict.scenario_from_dict(entry["scenario"])
         cert = verdict.dispatch(scenario)
-    except verdict.InvalidScenario as exc:
+    except ValueError as exc:  # InvalidScenario, or malformed input such as a bad generator
         if expect.get("error") == "invalid_scenario":
             return name, True, f"rejected as expected: {exc}"
         return name, False, f"unexpected rejection: {exc}"
@@ -325,7 +336,8 @@ def build_parser() -> _Parser:
 
     pp = sub.add_parser("probe", help="Galois-group evidence for a polynomial")
     pp.add_argument("--poly", required=True)
-    pp.add_argument("--budget", type=int, default=40, help="number of primes to sample")
+    pp.add_argument("--budget", type=_prime_budget, default=40,
+                    help=f"number of primes to sample, 1 to {probe.MAX_PRIME_BUDGET}")
     pp.add_argument("--seed", type=int, default=0)
     pp.set_defaults(func=_cmd_probe)
 

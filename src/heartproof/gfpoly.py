@@ -3,11 +3,27 @@
 Polynomials are lists of ints in ascending degree order with coefficients
 reduced mod p; the zero polynomial is []. Factorization follows the usual
 squarefree / distinct-degree / equal-degree pipeline.
+
+Distinct-degree splitting uses Berlekamp's Frobenius matrix (Berlekamp,
+Bell Syst. Tech. J. 46, 1967; von zur Gathen-Gerhard, Modern Computer
+Algebra, section 14.2): x^p mod f is computed once, the rows x^(i*p) mod f
+follow from it, and each later x^(p^d) is one linear map, because
+h(x)^p = sum_i h_i * x^(i*p) over F_p.
+
+Products modulo a fixed monic f of degree n are taken on packed
+coefficients (Kronecker substitution, ibid. section 8.4): coefficients
+below p are packed into one Python int with w-bit slots, so one big-int
+product does the O(n^2) coefficient work in C. A slot of the product sums
+at most n terms of at most (p-1)^2; folding its top half back through the
+packed table x^(n+j) mod f adds at most n - 1 more such terms. Every slot
+therefore stays at most (2n-1)*(p-1)^2, and w = bitlen((2n-1)*(p-1)^2)
+keeps it exact and nonnegative.
 """
 
 from __future__ import annotations
 
 import random
+from operator import lshift, mul as _mul_int
 
 
 def trim(f: list[int]) -> list[int]:
@@ -23,16 +39,6 @@ def reduce(f: list[int], p: int) -> list[int]:
 def degree(f: list[int]) -> int:
     """Degree with deg 0 = -1 for the zero polynomial."""
     return len(f) - 1
-
-
-def add(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return trim(out)
 
 
 def sub(f: list[int], g: list[int], p: int) -> list[int]:
@@ -63,18 +69,19 @@ def scale(f: list[int], c: int, p: int) -> list[int]:
 def divmod_poly(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = degree(g)
+    dg = len(g) - 1
+    low = g[:-1]
     lg_inv = pow(g[-1], -1, p)
-    quot = [0] * max(0, len(f) - dg)
-    while degree(f) >= dg:
-        shift = degree(f) - dg
-        c = f[-1] * lg_inv % p
-        quot[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % p
-        trim(f)
-    return trim(quot), f
+    r = list(f)
+    quot = [0] * max(0, len(r) - dg)
+    # r stays exact but unreduced below the leading term; one % p at the end
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r[top] * lg_inv % p
+        if c:
+            shift = top - dg
+            quot[shift] = c
+            r[shift:top] = [a - c * b for a, b in zip(r[shift:top], low)]
+    return trim(quot), trim([a % p for a in r[:dg]])
 
 
 def monic(f: list[int], p: int) -> list[int]:
@@ -93,16 +100,70 @@ def derivative(f: list[int], p: int) -> list[int]:
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
 
+class _Modulus:
+    """Multiplication modulo a fixed polynomial f of degree n >= 1, on
+    packed coefficients (slot width and bound in the module docstring)."""
+
+    def __init__(self, f: list[int], p: int):
+        f = monic(f, p)
+        n = degree(f)
+        self.p = p
+        w = ((2 * n - 1) * (p - 1) ** 2).bit_length()
+        self.mask = (1 << w) - 1
+        self.shifts = [w * i for i in range(n)]
+        self.top_shifts = [w * i for i in range(n, 2 * n - 1)]
+        self.low_mask = (1 << (w * n)) - 1
+        # x^(n+j) mod f for j < n - 1, packed
+        self.fold = []
+        row = [-c % p for c in f[:-1]]
+        for _ in range(n - 1):
+            self.fold.append(self.pack(row))
+            top = row[-1]
+            row = [(a - top * b) % p for a, b in zip([0] + row[:-1], f)]
+
+    def pack(self, a: list[int]) -> int:
+        return sum(map(lshift, a, self.shifts))
+
+    def unpack(self, c: int) -> list[int]:
+        mask, p = self.mask, self.p
+        return trim([(c >> s & mask) % p for s in self.shifts])
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        """a*b mod f for a, b reduced mod f."""
+        c = self.pack(a) * self.pack(b)
+        mask, p = self.mask, self.p
+        top = [(c >> s & mask) % p for s in self.top_shifts]
+        return self.unpack(sum(map(_mul_int, top, self.fold), c & self.low_mask))
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        """a^e mod f for a reduced mod f, by left-to-right square-and-multiply."""
+        if e == 0:
+            return [1]
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+    def powers(self, a: list[int]) -> list[int]:
+        """a^i mod f for i < n, packed: the Frobenius matrix when a = x^p mod f."""
+        rows = [1, self.pack(a)]
+        b = a
+        for _ in range(len(self.shifts) - 2):
+            b = self.mul(b, a)
+            rows.append(self.pack(b))
+        return rows
+
+    def apply(self, h: list[int], rows: list[int]) -> list[int]:
+        """sum_i h_i * rows[i], reduced: h^p mod f when rows are the Frobenius
+        matrix (each slot sums at most n terms of at most (p-1)^2)."""
+        return self.unpack(sum(map(_mul_int, h, rows)))
+
+
 def pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """f^e reduced mod the polynomial `mod`."""
-    result = [1]
-    base = divmod_poly(f, mod, p)[1]
-    while e:
-        if e & 1:
-            result = divmod_poly(mul(result, base, p), mod, p)[1]
-        base = divmod_poly(mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+    return _Modulus(mod, p).pow(divmod_poly(f, mod, p)[1], e)
 
 
 def is_squarefree(f: list[int], p: int) -> bool:
@@ -142,23 +203,31 @@ def distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Distinct-degree splitting of a squarefree monic f.
 
     Returns pairs (g, d) where g is the product of all irreducible factors
-    of degree exactly d, with d increasing.
+    of degree exactly d, with d increasing. h = x^(p^d) stays reduced mod the
+    original f, and the Frobenius matrix of f (built at d = 2) takes it to
+    x^(p^(d+1)); gcd(h - x, rest) is still right for the shrinking cofactor
+    `rest` of f, because rest divides f.
     """
     f = monic(f, p)
     out = []
-    h = [0, 1]  # x
+    rest = f
     d = 0
-    while degree(f) > 0:
+    while degree(rest) > 0:
         d += 1
-        if 2 * d > degree(f):
-            out.append((f, degree(f)))
+        if 2 * d > degree(rest):
+            out.append((rest, degree(rest)))
             break
-        h = pow_mod(h, p, f, p)
-        g = gcd(sub(h, [0, 1], p), f, p)
+        if d == 1:
+            h = xp = pow_mod([0, 1], p, f, p)
+        else:
+            if d == 2:
+                modulus = _Modulus(f, p)
+                frobenius = modulus.powers(xp)
+            h = modulus.apply(h, frobenius)
+        g = gcd(sub(h, [0, 1], p), rest, p)
         if degree(g) > 0:
             out.append((g, d))
-            f = divmod_poly(f, g, p)[0]
-            h = divmod_poly(h, f, p)[1]
+            rest = divmod_poly(rest, g, p)[0]
     return out
 
 

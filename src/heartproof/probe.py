@@ -20,11 +20,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from . import gfpoly
 from .fields import is_prime
+
+
+# Named limits on the probe's inputs, whose work grows with both; they lie
+# above every fixture, golden and benchmark input (degree <= 13, 40 primes).
+MAX_POLY_DEGREE = 50
+MAX_PRIME_BUDGET = 1000
 
 
 class BadReduction(ValueError):
@@ -96,6 +101,7 @@ def parse_poly(text: str) -> PolyZ:
     if text.startswith("["):
         body = text.strip("[]")
         coeffs = [int(t) for t in re.split(r"[,\s]+", body.strip()) if t]
+        _check_degree(len(coeffs) - 1)
         return PolyZ(tuple(coeffs))
     pos = 0
     terms: list[tuple[int, int]] = []  # (exponent, coefficient)
@@ -122,6 +128,7 @@ def parse_poly(text: str) -> PolyZ:
         pos = m.end()
         first = False
     degree = max(e for e, _ in terms)
+    _check_degree(degree)
     coeffs = [0] * (degree + 1)
     for e, c in terms:
         coeffs[e] += c
@@ -130,28 +137,15 @@ def parse_poly(text: str) -> PolyZ:
     return PolyZ(tuple(coeffs))
 
 
+def _check_degree(degree: int) -> None:
+    if degree > MAX_POLY_DEGREE:
+        raise ValueError(f"degree {degree} is above the limit MAX_POLY_DEGREE = "
+                         f"{MAX_POLY_DEGREE}")
+
+
 def is_squarefree(f: PolyZ) -> bool:
-    """gcd(f, f') has degree 0 over Q."""
-    if f.degree < 1:
-        raise ValueError("degree must be >= 1")
-    a = [Fraction(c) for c in f.coeffs]
-    b = [Fraction(c) for c in f.derivative().coeffs]
-    while any(b):
-        # a mod b over Q
-        a = a[:]
-        while len(a) >= len(b) and any(a):
-            if a[-1] == 0:
-                a.pop()
-                continue
-            q = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= q * c
-            a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) <= 1
+    """f has no repeated root over Q, which holds exactly when disc(f) != 0."""
+    return discriminant(f) != 0
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -250,6 +244,8 @@ def _next_prime(n: int) -> int:
 
 def discriminant(f: PolyZ) -> int:
     n = f.degree
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     res = resultant(f, f.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     num = sign * res
@@ -346,9 +342,9 @@ def _is_transposition_pattern(pattern: tuple[int, ...]) -> bool:
 def classify_galois(f: PolyZ, prime_budget: int = 40, seed: int = 0) -> GaloisEvidence:
     """Deterministic evidence gathering over the first unramified primes."""
     n = f.degree
-    if not is_squarefree(f):
-        raise NotSquarefree(f"{f} has repeated roots")
     disc = discriminant(f)
+    if disc == 0:
+        raise NotSquarefree(f"{f} has repeated roots")
     disc_square = is_perfect_square(disc)
     primes = sample_primes(f, disc, prime_budget)
 

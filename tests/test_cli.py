@@ -193,6 +193,40 @@ def test_fixtures_parse_error_line_number(tmp_path, capsys):
     assert ":1:" in err or ":2:" in err
 
 
+def test_fixtures_value_errors_are_fail_lines(tmp_path, capsys):
+    repeated_root = {"name": "repeated_root",
+                     "scenario": {"n": 5, "p": 7, "r": 1,
+                                  "group": {"kind": "poly", "poly": "x^5 - 2*x^4 + x^3"}},
+                     "expect": {"conclusion": "cyclotomic_ring"}}
+    bad_generator = {"name": "bad_generator",
+                     "scenario": {"n": 5, "p": 7, "r": 1,
+                                  "group": {"kind": "custom", "generators": ["(0 1"]}},
+                     "expect": {"conclusion": "cyclotomic_ring"}}
+    path = tmp_path / "value_errors.jsonl"
+    path.write_text(json.dumps(repeated_root) + "\n" + json.dumps(bad_generator) + "\n")
+    code, out, err = run_cli(["fixtures", "--run", str(path)], capsys)
+    assert code == 1 and err == ""
+    assert out == ("[FAIL] repeated_root: unexpected rejection: x^5 - 2*x^4 + x^3 has repeated roots\n"
+                   "[FAIL] bad_generator: unexpected rejection: malformed permutation '(0 1'\n"
+                   "0 passed, 2 failed\n")
+
+
+@pytest.mark.parametrize("budget", ["0", "-3", "1001"])
+def test_probe_refuses_budget_outside_limit(budget, capsys):
+    code, out, err = run_cli(["probe", "--poly", "x^5 - x - 1", "--budget", budget], capsys)
+    assert code == 64 and out == ""
+    assert err.endswith(f"heartproof probe: error: argument --budget: {budget} is outside "
+                        "1..1000 (MAX_PRIME_BUDGET)\n")
+
+
+@pytest.mark.parametrize("command", [["probe"], ["analyze", "--p", "7"]],
+                         ids=["probe", "analyze"])
+def test_poly_degree_limit(command, capsys):
+    code, out, err = run_cli([*command, "--poly", "x^99999999 + 1"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: degree 99999999 is above the limit MAX_POLY_DEGREE = 50\n"
+
+
 def test_seed_env_override(monkeypatch, capsys):
     monkeypatch.setenv("HEARTPROOF_SEED", "5")
     code, out, _ = run_cli(["analyze", "--group", "A", "--n", "5", "--p", "11"], capsys)

@@ -12,8 +12,7 @@ def test_mul_divmod_roundtrip():
         f = [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [rng.randrange(1, p)]
         g = [rng.randrange(p) for _ in range(rng.randrange(0, 6))] + [rng.randrange(1, p)]
         q, r = gfpoly.divmod_poly(f, g, p)
-        back = gfpoly.add(gfpoly.mul(q, g, p), r, p)
-        assert back == gfpoly.reduce(f, p)
+        assert gfpoly.sub(gfpoly.reduce(f, p), r, p) == gfpoly.mul(q, g, p)
         assert gfpoly.degree(r) < gfpoly.degree(g)
 
 
@@ -79,3 +78,20 @@ def test_factor_deterministic_given_seed():
 def test_even_characteristic_edf_unsupported():
     with pytest.raises(NotImplementedError):
         gfpoly.factor_squarefree([1, 1, 0, 0, 0, 1], 2)
+
+
+def test_frobenius_kernel_work_guard(monkeypatch):
+    # x^13 + x + 8 is irreducible mod 211, so the degree loop runs to d = 6.
+    # The packed multiply-mod runs for x^p (at most 2 per bit of p) and for
+    # the n - 2 Frobenius rows, never for a per-degree exponentiation.
+    f, p = [8, 1] + [0] * 11 + [1], 211
+    calls = []
+    real_mul = gfpoly._Modulus.mul
+
+    def counting_mul(self, a, b):
+        calls.append(1)
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(gfpoly._Modulus, "mul", counting_mul)
+    assert gfpoly.factor_degrees(f, p) == [13]
+    assert len(calls) <= 2 * (p.bit_length() - 1) + (13 - 2)

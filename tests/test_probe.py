@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,58 @@ def test_squarefree():
     assert is_squarefree(parse_poly("x^5 - x - 1"))
     # (x-1)^2 (x+2) = x^3 - 3x + 2
     assert not is_squarefree(parse_poly("x^3 - 3*x + 2"))
+    with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
+        is_squarefree(parse_poly("7"))
+
+
+def _squarefree_by_euclid(f: PolyZ) -> bool:
+    """gcd(f, f') has degree 0, by Euclid over Q in exact fractions."""
+    a = [Fraction(c) for c in f.coeffs]
+    b = [Fraction(c) for c in f.derivative().coeffs]
+    while any(b):
+        a = a[:]
+        while len(a) >= len(b) and any(a):
+            if a[-1] == 0:
+                a.pop()
+                continue
+            q = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= q * c
+            a.pop()
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) <= 1
+
+
+def _product(*polys):
+    out = [1]
+    for g in polys:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = prod
+    return PolyZ(tuple(out))
+
+
+def test_squarefree_against_euclid_over_q():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    # integer factors of degree 1 to 4; half the draws repeat the first one,
+    # so both answers are common
+    factor = st.tuples(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+                       st.sampled_from([-3, -2, -1, 1, 2, 3])).map(lambda t: t[0] + [t[1]])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(factor, min_size=1, max_size=3), st.booleans())
+    def check(factors, repeat):
+        f = _product(*(factors + factors[:1] if repeat else factors))
+        assert is_squarefree(f) == _squarefree_by_euclid(f)
+
+    check()
 
 
 def test_discriminants():
