@@ -19,16 +19,14 @@ from functools import cache
 from pathlib import Path
 
 from . import modules, probe, simplicity, verdict, weights
+from .fields import is_prime
 from .groups import (
+    MATHIEU_ORDERS,
     GroupTag,
     PermGroup,
-    alternating_group,
     format_group_file,
     group_file_lines,
-    mathieu_group,
     parse_group_file,
-    psl2_group,
-    symmetric_group,
 )
 from .perm import parse_perm
 
@@ -43,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _TAG_RE = re.compile(
-    r"^(?:(?P<sa>[SA])|(?P<mat>M(?P<matn>11|12|22|23|24))"
+    r"^(?:(?P<sa>[SA])|(?P<mat>M(?P<matn>" + "|".join(map(str, MATHIEU_ORDERS)) + "))"
     r"|(?P<psl>PSL2)[:(](?P<pslargs>[^)]*)\)?"
     r"|(?P<u3>U3)[:(](?P<u3args>[^)]*)\)?)$",
     re.IGNORECASE,
@@ -51,27 +49,37 @@ _TAG_RE = re.compile(
 
 
 def _parse_prime_power(text: str) -> tuple[int, int]:
-    """'13' -> (13, 1); '2^4' or '2,4' -> (2, 4)."""
+    """'13' -> (13, 1); '2^4', '2,4' or '16' -> (2, 4).
+
+    A bare q is l^r for the largest r with an exact integer r-th root l,
+    and a prime power exactly when that l is prime: were q = l^r = m^s
+    with l prime and s > r, m would be a power of l below l.
+    """
     text = text.strip()
-    if "^" in text:
-        ell, r = text.split("^")
-        return int(ell), int(r)
-    if "," in text:
-        ell, r = text.split(",")
-        return int(ell), int(r)
+    for sep in "^,":
+        if sep in text:
+            ell, r = text.split(sep)
+            return int(ell), int(r)
     value = int(text)
-    # interpret as the full prime power q
-    for ell in range(2, value + 1):
-        if value % ell == 0:
-            r = 0
-            v = value
-            while v % ell == 0:
-                v //= ell
-                r += 1
-            if v != 1:
-                raise ValueError(f"{value} is not a prime power")
-            return ell, r
+    if value > 1:
+        for r in range(value.bit_length() - 1, 0, -1):
+            ell = _integer_root(value, r)
+            if ell**r == value:
+                if is_prime(ell):
+                    return ell, r
+                break
     raise ValueError(f"{value} is not a prime power")
+
+
+def _integer_root(value: int, r: int) -> int:
+    """The integer r-th root of value >= 1, rounded down: Newton's method
+    from 2^ceil(bits / r), which lies above the root, falls to it."""
+    x = 1 << -(-value.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + value // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 def parse_group_tag(text: str, n: int | None) -> GroupTag:
@@ -126,15 +134,9 @@ def _concrete_group(args) -> PermGroup:
     if args.group_file:
         return parse_group_file(Path(args.group_file).read_text())
     tag = parse_group_tag(args.group, args.n)
-    if tag.kind == "symmetric":
-        return symmetric_group(tag.n)
-    if tag.kind == "alternating":
-        return alternating_group(tag.n)
-    if tag.kind == "mathieu":
-        return mathieu_group(tag.n)
-    if tag.kind == "psl2":
-        return psl2_group(tag.ell, tag.r)
-    raise ValueError(f"no concrete permutation group is built for {tag.describe()}")
+    if tag.family.concrete is None:
+        raise ValueError(f"no concrete permutation group is built for {tag.describe()}")
+    return tag.family.concrete(tag)
 
 
 def _cmd_heart(args) -> int:

@@ -4,6 +4,9 @@ Order and membership come from a deterministic Schreier-Sims stabilizer
 chain built eagerly at construction. Named constructors cover the families
 the verdict engine quantifies over: S_n, A_n, the five Mathieu groups
 (from bundled generator data), and PSL(2, q) acting on the projective line.
+What the engine knows about each named family (orders, doubly transitive
+actions, index tables, the family theorem's hypotheses and the range of
+the cited heart tables) is one `Family` record in FAMILIES.
 
 Group files list one generator per line in 0-indexed cycle notation with
 '#' comments.
@@ -12,13 +15,15 @@ Group files list one generator per line in 0-indexed cycle notation with
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import cache
 from math import factorial, gcd
 
 from . import perm
 from .fields import ExtField, is_prime
 from .perm import Perm
+from .weights import heart_dim
 
 
 class UnsupportedDegree(ValueError):
@@ -62,16 +67,12 @@ def psl3_order(q: int) -> int:
     return q**3 * (q**3 - 1) * (q * q - 1) // gcd(3, q - 1)
 
 
-def psu3_order(q: int) -> int:
-    return q**3 * (q**3 + 1) * (q * q - 1) // gcd(3, q + 1)
-
-
 @dataclass(frozen=True)
 class GroupTag:
     """Named family a group belongs to, or 'custom' for anonymous groups.
 
-    kind is one of symmetric / alternating / mathieu / psl2 / psu3 / custom.
-    psu3 is table-only: no concrete permutation group is ever built for it.
+    kind is a key of FAMILIES, whose record holds what is known about the
+    family, or 'custom'.
     """
 
     kind: str
@@ -109,32 +110,13 @@ class GroupTag:
     def custom(n: int | None = None) -> "GroupTag":
         return GroupTag("custom", n=n)
 
-    def describe(self) -> str:
-        if self.kind == "symmetric":
-            return f"S{self.n}"
-        if self.kind == "alternating":
-            return f"A{self.n}"
-        if self.kind == "mathieu":
-            return f"M{self.n}"
-        if self.kind == "psl2":
-            return f"PSL2({self.ell}^{self.r})" if (self.r or 1) > 1 else f"PSL2({self.ell})"
-        if self.kind == "psu3":
-            return f"U3({self.q})"
-        return "custom"
+    @property
+    def family(self) -> "Family | None":
+        """The record of the tag's named family, None for custom groups."""
+        return FAMILIES.get(self.kind)
 
-    def family_order(self) -> int | None:
-        """Known order from the family parameters, None for custom."""
-        if self.kind == "symmetric":
-            return factorial(self.n)
-        if self.kind == "alternating":
-            return factorial(self.n) // 2
-        if self.kind == "mathieu":
-            return MATHIEU_ORDERS[self.n]
-        if self.kind == "psl2":
-            return psl2_order(self.q)
-        if self.kind == "psu3":
-            return psu3_order(self.q)
-        return None
+    def describe(self) -> str:
+        return self.family.name(self) if self.family is not None else "custom"
 
 
 class _Level:
@@ -456,6 +438,173 @@ def psl2_group(ell: int, r: int = 1) -> PermGroup:
     return g
 
 
+# ---------------------------------------------------------------------------
+# Family records
+# ---------------------------------------------------------------------------
+
+DOUBLY_TRANSITIVE = "group acts doubly transitively on the n roots"
+
+Row = tuple[str, str, bool, str]  # (anchor, check kind, passed, detail)
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """What the engine knows about one named family of groups; routes,
+    checks and the CLI read it instead of branching on the family name.
+
+    `hypotheses(tag, p)` are the rows of the family theorem for an odd prime
+    p, in the order its route lists them. Its arithmetic rows state the
+    range of the cited heart table, and `family_heart_table` is their
+    conjunction, so the route concludes exactly where the table applies. A
+    'given' row is what the tag itself asserts.
+    """
+
+    kind: str
+    route: str                       # the theorem's route, less _ring / _algebra
+    algebra: bool                    # the theorem also holds for q = p^r, r > 1
+    field: bool                      # the tag carries (l, r), q = l^r
+    degrees: frozenset[int] | None   # the degrees that exist; None: any, or q's
+    simple: bool                     # simple nonabelian
+    name: Callable[[GroupTag], str]
+    order: Callable[[GroupTag], int]
+    doubly_transitive: Callable[[GroupTag], str]
+    # (known small indices, minimal index of any other proper subgroup)
+    index_table: Callable[[GroupTag], tuple[frozenset[int], int] | None]
+    hypotheses: Callable[[GroupTag, int], tuple[Row, ...]]
+    heart: Callable[[GroupTag, bool], str]  # heart-table detail, cited or not
+    # the table facts of a central simple heart, None where a very-simplicity
+    # case analysis always answers
+    central: Callable[[GroupTag, int], tuple[str, ...]] | None = None
+    concrete: Callable[[GroupTag], PermGroup] | None = None  # None: table-only
+
+
+def _doubly_transitive_row(t: GroupTag) -> Row:
+    return DOUBLY_TRANSITIVE, "table", True, t.family.doubly_transitive(t)
+
+
+def _min_index(t: GroupTag) -> int:
+    return t.family.index_table(t)[1]
+
+
+# S_n and A_n: heart absolutely simple for n >= 5 and every odd p; S_n
+# splits as index 2 plus index >= n, A_n has minimal index n.
+SYMMETRIC = Family(
+    "symmetric", "symmetric_alternating", algebra=True, field=False, degrees=None,
+    simple=False,
+    name=lambda t: f"S{t.n}",
+    order=lambda t: factorial(t.n),
+    doubly_transitive=lambda t: f"{t.describe()} is doubly transitive",
+    index_table=lambda t: (frozenset({2}), t.n) if t.n >= 5 else None,
+    hypotheses=lambda t, p: (
+        ("degree at least 5", "arithmetic", t.n >= 5, f"n = {t.n}"),
+        ("polynomial irreducible with full symmetric or alternating Galois group", "given",
+         True, f"supplied as {t.describe()}"),
+    ),
+    heart=lambda t, cited: f"{t.describe()} heart is absolutely simple for every odd p",
+    concrete=lambda t: symmetric_group(t.n),
+)
+
+ALTERNATING = replace(
+    SYMMETRIC, kind="alternating", simple=True,
+    name=lambda t: f"A{t.n}",
+    order=lambda t: factorial(t.n) // 2,
+    index_table=lambda t: (frozenset(), t.n) if t.n >= 5 else None,
+    concrete=lambda t: alternating_group(t.n),
+)
+
+# M_n: minimal index n; heart table from Mortimer's modular permutation
+# representations of the known doubly transitive groups (Proc. LMS 41,
+# 1980), cited except for M11 at p = 3.
+MATHIEU = Family(
+    "mathieu", "mathieu", algebra=False, field=False, degrees=frozenset(MATHIEU_ORDERS),
+    simple=True,
+    name=lambda t: f"M{t.n}",
+    order=lambda t: MATHIEU_ORDERS[t.n],
+    doubly_transitive=lambda t: f"M{t.n} on {t.n} points is doubly transitive",
+    index_table=lambda t: (frozenset(), t.n) if t.n in MATHIEU_ORDERS else None,
+    hypotheses=lambda t, p: (
+        ("degree is one of " + ", ".join(map(str, MATHIEU_ORDERS)), "arithmetic",
+         t.n in MATHIEU_ORDERS, f"n = {t.n}"),
+        _doubly_transitive_row(t),
+        ("p is an odd prime", "arithmetic", True, f"p = {p}"),
+        ("p > 3 when the degree is 11", "arithmetic", t.n != 11 or p > 3, f"n = {t.n}, p = {p}"),
+    ),
+    heart=lambda t, cited: (f"M{t.n} heart is absolutely simple for odd p (modular table)"
+                            if cited else "modular table for M11 is cited only for p > 3"),
+    central=lambda t, p: (
+        f"M{t.n}: absolutely simple heart (modular table) and minimal subgroup index "
+        f"{_min_index(t)} exceeds the heart dimension {heart_dim(t.n, p)}",),
+    concrete=lambda t: mathieu_group(t.n),
+)
+
+# PSL(2, q): minimal index q + 1 for q > 11 (Suzuki's subgroup list, as
+# cited); Mortimer's heart table for q > 11 with p != l or q = l = p.
+PSL2 = Family(
+    "psl2", "psl2_projective_line", algebra=False, field=True, degrees=None, simple=True,
+    name=lambda t: f"PSL2({t.ell}^{t.r})" if (t.r or 1) > 1 else f"PSL2({t.ell})",
+    order=lambda t: psl2_order(t.q),
+    doubly_transitive=lambda t: f"PSL(2,{t.q}) on the projective line is doubly transitive",
+    index_table=lambda t: (frozenset(), t.q + 1) if t.q > 11 else None,
+    hypotheses=lambda t, p: (
+        ("n = q + 1 for the prime power q", "arithmetic", t.n == t.q + 1,
+         f"n = {t.n}, q = {t.q}"),
+        ("q exceeds 11", "arithmetic", t.q > 11, f"q = {t.q}"),
+        ("either p differs from the field characteristic or q = l = p", "arithmetic",
+         p != t.ell or t.q == t.ell == p, f"p = {p}, l = {t.ell}, q = {t.q}"),
+        _doubly_transitive_row(t),
+        ("point stabilizers are the Borel subgroups of index q + 1", "table", True,
+         "projective-line action"),
+    ),
+    heart=lambda t, cited: (f"PSL(2,{t.q}) heart is absolutely simple (modular table)" if cited
+                            else "modular table cited only for q > 11 with p != l or q = l = p"),
+    central=lambda t, p: (
+        f"PSL(2,{t.q}) with q > 11: every proper subgroup has index >= {_min_index(t)} > "
+        "heart dimension; heart absolutely simple (modular table)",),
+    concrete=lambda t: psl2_group(t.ell, t.r),
+)
+
+# U_3(q) on the Hermitian unital: minimal index q^3 + 1 for q not in {2, 5}
+# (Mitchell's subgroup list); Mortimer's heart table for q not in {2, 5},
+# p != l and p not dividing q + 1. Both recorded as cited, not re-derived.
+PSU3 = Family(
+    "psu3", "psu3_unital", algebra=False, field=True, degrees=None, simple=True,
+    name=lambda t: f"U3({t.q})",
+    order=lambda t: t.q**3 * (t.q**3 + 1) * (t.q**2 - 1) // gcd(3, t.q + 1),
+    doubly_transitive=lambda t: f"U3({t.q}) on the Hermitian unital is doubly transitive",
+    index_table=lambda t: (frozenset(), t.q**3 + 1) if t.q not in (2, 5) else None,
+    hypotheses=lambda t, p: (
+        ("n = q^3 + 1 for the prime power q", "arithmetic", t.n == t.q**3 + 1,
+         f"n = {t.n}, q = {t.q}"),
+        ("q is not 2 or 5", "arithmetic", t.q not in (2, 5), f"q = {t.q}"),
+        ("p differs from the field characteristic", "arithmetic", p != t.ell,
+         f"p = {p}, l = {t.ell}"),
+        ("p does not divide q + 1", "arithmetic", (t.q + 1) % p != 0,
+         f"q + 1 = {t.q + 1}, p = {p}"),
+        _doubly_transitive_row(t),
+        ("point stabilizers are the Borel subgroups of index q^3 + 1", "table", True,
+         "Hermitian-unital action (recorded citation)"),
+    ),
+    heart=lambda t, cited: (f"U3({t.q}) heart is absolutely simple for p != l, p not dividing "
+                            "q+1 (modular table)" if cited else "outside the cited modular table"),
+    central=lambda t, p: (
+        f"U3({t.q}): heart absolutely simple for p != {t.ell}, p not dividing {t.q + 1} "
+        "(modular table, recorded citation)",
+        f"minimal subgroup index {_min_index(t)} exceeds the heart dimension "
+        "(subgroup list, recorded citation)"),
+)
+
+FAMILIES = {f.kind: f for f in (SYMMETRIC, ALTERNATING, MATHIEU, PSL2, PSU3)}
+
+
+def family_heart_table(tag: GroupTag, p: int) -> bool:
+    """Does a cited table make the heart over F_p (p an odd prime) absolutely
+    simple? The conjunction of the arithmetic rows of the family theorem;
+    False means only that no table applies."""
+    family = tag.family
+    return family is not None and all(
+        passed for _, kind, passed, _ in family.hypotheses(tag, p) if kind == "arithmetic")
+
+
 def group_file_lines(text: str) -> list[str]:
     """The generator lines of a group file: one per line, '#' starts a comment."""
     lines = [raw.split("#", 1)[0].strip() for raw in text.splitlines()]
@@ -617,7 +766,7 @@ def exists_subgroup_of_index_dividing(
     if not divisors:
         return False, "no divisor of the bound exceeds 1", "arithmetic"
 
-    table = _family_index_table(tag)
+    table = tag.family.index_table(tag) if tag.family is not None else None
     if table is not None:
         known, min_other = table
         hits = sorted(set(divisors) & known)
@@ -729,48 +878,6 @@ def _orbit_over_stabilizer(gens: tuple[Perm, ...], b: int, k: frozenset,
             if perm.mult(perm.mult(u, x), inverses[x[z]]) not in k:
                 return None
     return reps
-
-
-def _family_index_table(tag: GroupTag) -> tuple[set[int], int] | None:
-    """(known small indices, minimal index of any other proper subgroup).
-
-    Sources: S_n splits as index 2 plus index >= n; A_n and M_n have minimal
-    index n; PSL(2, q) with q > 11 has minimal index q + 1 (Suzuki's subgroup
-    list, as cited); U_3(q) with q not in {2, 5} has minimal index q^3 + 1
-    (Mitchell's subgroup list, as cited, recorded but not re-derived).
-    """
-    if tag.kind == "symmetric" and tag.n >= 5:
-        return {2}, tag.n
-    if tag.kind == "alternating" and tag.n >= 5:
-        return set(), tag.n
-    if tag.kind == "mathieu" and tag.n in MATHIEU_ORDERS:
-        return set(), tag.n
-    if tag.kind == "psl2" and tag.q > 11:
-        return set(), tag.q + 1
-    if tag.kind == "psu3" and tag.q not in (2, 5):
-        return set(), tag.q**3 + 1
-    return None
-
-
-def family_heart_table(tag: GroupTag, p: int) -> bool:
-    """Does a cited table make the heart over F_p (p an odd prime) absolutely simple?
-
-    Sources: S_n and A_n for n >= 5 and every odd p; for the Mathieu groups,
-    PSL(2, q) and U_3(q), Mortimer's modular permutation representations of
-    the known doubly transitive groups (Proc. LMS 41, 1980), cited for M_n
-    except M11 at p = 3, for PSL(2, q) with q > 11 and p != l or q = l = p,
-    and for U_3(q) with q not in {2, 5}, p != l and p not dividing q + 1.
-    False means only that no table applies.
-    """
-    if tag.kind in ("symmetric", "alternating"):
-        return tag.n >= 5
-    if tag.kind == "mathieu":
-        return tag.n in MATHIEU_ORDERS and not (tag.n == 11 and p == 3)
-    if tag.kind == "psl2":
-        return tag.q > 11 and (p != tag.ell or tag.q == tag.ell == p)
-    if tag.kind == "psu3":
-        return tag.q not in (2, 5) and p != tag.ell and (tag.q + 1) % p != 0
-    return False
 
 
 def coset_action(g: PermGroup, h: PermGroup) -> PermGroup:

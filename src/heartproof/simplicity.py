@@ -21,13 +21,15 @@ from dataclasses import dataclass, field
 
 from . import modules
 from .groups import (
-    GroupTag,
+    ALTERNATING,
+    MATHIEU,
     MATHIEU_ORDERS,
+    SYMMETRIC,
+    GroupTag,
     PermGroup,
     TooLarge,
     exists_subgroup_of_index_dividing,
     family_heart_table,
-    mathieu_group,
     pgl2_order,
     psl2_order,
     psl3_order,
@@ -168,23 +170,21 @@ def very_simple_alt(n: int, p: int) -> SimplicityVerdict:
     return v
 
 
+# (n, p) -> the projective target the case analysis names, for every
+# Mathieu degree n and odd prime p with n != p + 1 and p | n - 1
+_MATHIEU_TARGETS = {(11, 5): "PSL2", (22, 3): "PSL3", (22, 7): "PSL3", (23, 11): "PSL2"}
+
+
 def _mathieu_exceptional_very_simple(n: int, p: int) -> SimplicityVerdict | None:
     """Very simplicity for Mathieu hearts when n != p+1 and p | n-1.
 
     Each exceptional case is settled by recomputing an order-divisibility
     obstruction against the projective target named by the case analysis.
     """
-    if n == p + 1 or (n - 1) % p != 0:
+    target = _MATHIEU_TARGETS.get((n, p))
+    if target is None:
         return None
     order = MATHIEU_ORDERS[n]
-    if n == 11 and p == 5:
-        target = "PSL2"
-    elif n == 22 and p in (3, 7):
-        target = "PSL3"
-    elif n == 23 and p == 11:
-        target = "PSL2"
-    else:
-        return None
     v = SimplicityVerdict(Level.VERY_SIMPLE)
     divides = embedding_obstruction(order, target, p)
     v.attach(
@@ -206,58 +206,46 @@ def _mathieu_exceptional_very_simple(n: int, p: int) -> SimplicityVerdict | None
         )
         if eleven_in_target:
             v.attach("diagnostic", "recomputed 11-divisibility disagrees with the recorded case analysis")
-    return v
+    return v.attach("table-fact", f"M{n} heart is central simple for odd p"
+                                  + (" > 3" if n == 11 else ""))
+
+
+# the very-simplicity case analyses, by family; None from one means that the
+# heart is only known central simple
+_VERY_SIMPLE = {
+    SYMMETRIC: lambda n, p: SimplicityVerdict(Level.VERY_SIMPLE).attach(
+        "table-fact", f"symmetric degree {n} >= 5: heart is very simple for every odd p"),
+    ALTERNATING: very_simple_alt,
+    MATHIEU: _mathieu_exceptional_very_simple,
+}
 
 
 def decide_heart_simplicity(
     g: PermGroup | None, tag: GroupTag, p: int, seed: int = 0,
     absolute: SimplicityVerdict | None = None,
 ) -> SimplicityVerdict:
-    """Dispatch on the group family; UNKNOWN rather than a silent guess.
+    """The cited family theorems first, else computation; UNKNOWN rather than
+    a silent guess.
 
-    Symmetric and alternating hearts use the very-simplicity case analysis;
-    Mathieu, PSL2 and U3 hearts inside the cited modular table the
-    central-simplicity theorems with recomputed obstructions; everything
-    else falls back to `absolute_simplicity` and the index criterion, which
-    need a concrete group. `absolute` is the caller's `absolute_simplicity`
-    verdict for g, if it already has one.
+    A family tag inside the range of its cited heart table is answered from
+    its record: by the family's very-simplicity case analysis, with
+    recomputed obstructions, where it has one, else as central simple from
+    the record's table facts. Everything else falls back to
+    `absolute_simplicity` and the index criterion, which need a concrete
+    group: g, or else the one the record builds. `absolute` is the caller's
+    `absolute_simplicity` verdict for g, if it already has one.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
-    n = tag.n if tag.n is not None else (g.degree if g is not None else None)
-    if tag.kind == "symmetric" and n >= 5:
-        v = SimplicityVerdict(Level.VERY_SIMPLE)
-        v.attach("table-fact", f"symmetric degree {n} >= 5: heart is very simple for every odd p")
-        return v
-    if tag.kind == "alternating" and n >= 5:
-        return very_simple_alt(n, p)
-    cited = family_heart_table(tag, p)
-    if cited and tag.kind == "mathieu":
-        exceptional = _mathieu_exceptional_very_simple(n, p)
-        if exceptional is not None:
-            exceptional.attach("table-fact", f"M{n} heart is central simple for odd p"
-                                             + (" > 3" if n == 11 else ""))
-            return exceptional
-        v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
-        v.attach("table-fact", f"M{n}: absolutely simple heart (modular table) and minimal "
-                               f"subgroup index {n} exceeds the heart dimension {heart_dim(n, p)}")
-        return v
-    if cited and tag.kind == "psl2":
-        v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
-        v.attach("table-fact", f"PSL(2,{tag.q}) with q > 11: every proper subgroup has index "
-                               f">= {tag.q + 1} > heart dimension; heart absolutely simple "
-                               "(modular table)")
-        return v
-    if cited and tag.kind == "psu3":
-        q = tag.q
-        v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
-        v.attach("table-fact", f"U3({q}): heart absolutely simple for p != {tag.ell}, "
-                               f"p not dividing {q + 1} (modular table, recorded citation)")
-        v.attach("table-fact", f"minimal subgroup index {q**3 + 1} exceeds the heart dimension "
-                               "(subgroup list, recorded citation)")
-        return v
-    if g is None and tag.kind == "mathieu":
-        g = mathieu_group(n)
+    family = tag.family
+    if family is not None and family_heart_table(tag, p):
+        v = _VERY_SIMPLE.get(family, lambda n, p: None)(tag.n, p)
+        if v is not None:
+            return v
+        return SimplicityVerdict(Level.CENTRAL_SIMPLE, [
+            EvidenceItem("table-fact", statement) for statement in family.central(tag, p)])
+    if g is None and family is not None and family.concrete is not None:
+        g = family.concrete(tag)
     if g is None:
         return SimplicityVerdict(Level.UNKNOWN).attach(
             "diagnostic", f"{tag.describe()} is outside the cited modular table "

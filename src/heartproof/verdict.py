@@ -1,17 +1,14 @@
 """The theorem dispatcher: scenario in, certified verdict out.
 
-Routes are tried in a fixed order, family-specific theorems first:
-
-    r = 1:  symmetric_alternating_ring, mathieu_ring,
-            psl2_projective_line_ring, psu3_unital_ring,
-            coprime_order_ring, index_criterion_ring
-    r > 1:  symmetric_alternating_algebra, coprime_order_algebra,
-            index_criterion_algebra
-
-The first route whose hypotheses all pass supplies the conclusion; the
-certificate records every hypothesis with its check kind and outcome, and
-a conclusive certificate can never contain a failed check. Representation
-facts about family-tagged groups come from the tables the theorems cite;
+Routes are tried in a fixed order, named with _ring for r = 1 and
+_algebra for r > 1: first the family theorem, whose route name and
+hypothesis rows the tag's `groups.Family` record holds (for r > 1 only
+where the record says the theorem covers it), then coprime_order and
+index_criterion. The first route whose hypotheses all pass supplies the
+conclusion; the certificate records every hypothesis with its check kind
+and outcome, and a conclusive certificate can never contain a failed
+check. Facts about family-tagged groups are read from their records and
+the tables those cite, never from a branch on the family name;
 computation (MeatAxe, subgroup enumeration) is reserved for concrete
 custom groups, plus cheap group-theoretic index facts.
 """
@@ -24,16 +21,14 @@ from dataclasses import dataclass
 from . import perm, probe, simplicity
 from .fields import PRIME_TEST_LIMIT, is_prime
 from .groups import (
+    DOUBLY_TRANSITIVE,
+    FAMILIES,
     GroupTag,
     PermGroup,
     SUBGROUP_ENUM_THRESHOLD,
     TooLarge,
     exists_subgroup_of_index_dividing,
     family_heart_table,
-    mathieu_group,
-    psl2_group,
-    psl2_order,
-    MATHIEU_ORDERS,
 )
 from .simplicity import Level
 from .weights import heart_dim
@@ -42,7 +37,8 @@ SCHEMA_VERSION = 1
 
 
 class InvalidScenario(ValueError):
-    """Scenario violates n >= 5, p odd prime, or the divisibility hypothesis."""
+    """Scenario violates n >= 5, p odd prime, the divisibility hypothesis, or
+    names a family group that does not exist."""
 
 
 @dataclass(frozen=True)
@@ -84,18 +80,20 @@ class Scenario:
                 f"p = {self.p} divides n = {self.n} but q = {self.q} does not"
             )
         if self.group_source == "tag":
-            if self.tag is None:
-                raise InvalidScenario("tag scenario without a tag")
-            if self.tag.n is not None and self.tag.n != self.n:
-                raise InvalidScenario(
-                    f"tag degree {self.tag.n} does not match n = {self.n}"
-                )
-            if self.tag.kind in ("psl2", "psu3") and not (
-                    is_prime(self.tag.ell) and self.tag.r >= 1):
+            family = self.tag.family if self.tag is not None else None
+            if family is None:
+                raise InvalidScenario("tag scenario without a named group family")
+            if self.tag.n != self.n:
+                raise InvalidScenario(f"tag degree {self.tag.n} does not match n = {self.n}")
+            if family.field and not (is_prime(self.tag.ell) and self.tag.r >= 1):
                 raise InvalidScenario(
                     f"{self.tag.describe()}: l = {self.tag.ell} must be prime "
                     f"and r = {self.tag.r} at least 1"
                 )
+            if family.degrees is not None and self.tag.n not in family.degrees:
+                raise InvalidScenario(
+                    f"{self.tag.describe()} does not exist: the degree must be one of "
+                    + ", ".join(map(str, sorted(family.degrees))))
         elif self.group_source == "custom":
             if not self.generators:
                 raise InvalidScenario("custom scenario without generators")
@@ -148,9 +146,6 @@ class Certificate:
         return None
 
 
-SIMPLE_NONABELIAN_TAGS = ("alternating", "mathieu", "psl2", "psu3")
-
-
 def _ring_conclusion(s: Scenario) -> EndoConclusion:
     return EndoConclusion("cyclotomic_ring", (f"Z[zeta_{s.p}]",), s.q - 1)
 
@@ -199,29 +194,24 @@ def _resolve_group(s: Scenario) -> _GroupInfo:
     if f.degree != s.n:
         raise InvalidScenario(f"polynomial degree {f.degree} does not match n = {s.n}")
     ev = probe.classify_galois(f, prime_budget=40, seed=s.seed)
-    resolved = ev.resolved_group
-    if resolved == "symmetric":
-        return _GroupInfo(GroupTag.symmetric(s.n), None, probe_evidence=ev)
-    if resolved == "alternating":
-        return _GroupInfo(GroupTag.alternating(s.n), None, probe_evidence=ev)
+    if ev.resolved_group is not None:
+        return _GroupInfo(GroupTag(ev.resolved_group, n=s.n), None, probe_evidence=ev)
     return _GroupInfo(GroupTag.custom(s.n), None, probe_evidence=ev,
                       probe_failure=f"probe conclusion: {ev.conclusion}")
 
 
 def _concrete_for_tag(tag: GroupTag) -> PermGroup | None:
     """A concrete group for cheap exact index facts, when small enough."""
-    if tag.kind == "psl2" and tag.q >= 4 and psl2_order(tag.q) <= SUBGROUP_ENUM_THRESHOLD:
-        return psl2_group(tag.ell, tag.r)
-    if tag.kind == "mathieu" and MATHIEU_ORDERS.get(tag.n, 10**9) <= SUBGROUP_ENUM_THRESHOLD:
-        return mathieu_group(tag.n)
-    return None
+    family = tag.family
+    if family.concrete is None or family.order(tag) > SUBGROUP_ENUM_THRESHOLD:
+        return None
+    return family.concrete(tag)
 
 
 # ---------------------------------------------------------------------------
 # Hypothesis helpers
 # ---------------------------------------------------------------------------
 
-DOUBLY_TRANSITIVE = "group acts doubly transitively on the n roots"
 COPRIME_ORDER = "p does not divide the group order"
 HEART_ABS_IRRED = "heart of the permutation action is absolutely irreducible"
 
@@ -243,7 +233,7 @@ def _side_condition_anchor(s: Scenario) -> str:
 
 def _check_zeta(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
     anchor = _zeta_anchor(s)
-    if info.tag.kind in SIMPLE_NONABELIAN_TAGS:
+    if info.tag.family is not None and info.tag.family.simple:
         return HypothesisCheck(
             anchor, "table", True,
             "Galois image is simple nonabelian: adjoining the root of unity "
@@ -254,19 +244,11 @@ def _check_zeta(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
                            "not asserted and no enlargement argument applies")
 
 
-def _check_doubly_transitive(info: _GroupInfo, n: int) -> HypothesisCheck:
+def _check_doubly_transitive(info: _GroupInfo) -> HypothesisCheck:
     anchor = DOUBLY_TRANSITIVE
     tag = info.tag
-    if tag.kind in ("symmetric", "alternating") and n >= 4:
-        return HypothesisCheck(anchor, "table", True, f"{tag.describe()} is doubly transitive")
-    if tag.kind == "mathieu":
-        return HypothesisCheck(anchor, "table", True, f"M{n} on {n} points is doubly transitive")
-    if tag.kind == "psl2":
-        return HypothesisCheck(anchor, "table", True,
-                               f"PSL(2,{tag.q}) on the projective line is doubly transitive")
-    if tag.kind == "psu3":
-        return HypothesisCheck(anchor, "table", True,
-                               f"U3({tag.q}) on the Hermitian unital is doubly transitive")
+    if tag.family is not None:
+        return HypothesisCheck(anchor, "table", True, tag.family.doubly_transitive(tag))
     if info.concrete is not None:
         ok = info.concrete.is_doubly_transitive()
         return HypothesisCheck(anchor, "computed", ok,
@@ -276,10 +258,11 @@ def _check_doubly_transitive(info: _GroupInfo, n: int) -> HypothesisCheck:
 
 
 def _check_p_coprime_order(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
-    order, kind = info.tag.family_order(), "table"
-    if order is None and info.concrete is not None:
+    if info.tag.family is not None:
+        order, kind = info.tag.family.order(info.tag), "table"
+    elif info.concrete is not None:
         order, kind = info.concrete.order, "computed"
-    if order is None:
+    else:
         return HypothesisCheck(COPRIME_ORDER, "computed", None, "group order unavailable")
     return HypothesisCheck(COPRIME_ORDER, kind, order % s.p != 0, f"|H| = {order}, p = {s.p}")
 
@@ -294,27 +277,14 @@ def _check_index_condition(s: Scenario, info: _GroupInfo, bound: int) -> Hypothe
     return HypothesisCheck(anchor, "table" if source == "table" else "computed", not exists, why)
 
 
-def _heart_table_detail(tag: GroupTag, cited: bool) -> str:
-    if tag.kind in ("symmetric", "alternating"):
-        return f"{tag.describe()} heart is absolutely simple for every odd p"
-    if tag.kind == "mathieu":
-        return (f"M{tag.n} heart is absolutely simple for odd p (modular table)" if cited
-                else "modular table for M11 is cited only for p > 3")
-    if tag.kind == "psl2":
-        return (f"PSL(2,{tag.q}) heart is absolutely simple (modular table)" if cited
-                else "modular table cited only for q > 11 with p != l or q = l = p")
-    return (f"U3({tag.q}) heart is absolutely simple for p != l, p not dividing q+1 "
-            "(modular table)" if cited else "outside the cited modular table")
-
-
 def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
     """Representation fact: tables for family tags, computation for custom groups."""
     anchor = HEART_ABS_IRRED
     tag = info.tag
-    if tag.kind != "custom":
+    if tag.family is not None:
         cited = family_heart_table(tag, s.p)
         return HypothesisCheck(anchor, "table", True if cited else None,
-                               _heart_table_detail(tag, cited))
+                               tag.family.heart(tag, cited))
     if info.concrete is None:
         return HypothesisCheck(anchor, "computed", None, "no concrete group to test")
     v = simplicity.absolute_simplicity(info.concrete, s.p, s.seed)
@@ -333,7 +303,7 @@ def _very_simple_fallback(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
     v = simplicity.decide_heart_simplicity(info.concrete, info.tag, s.p, seed=s.seed)
     if v.level == Level.VERY_SIMPLE:
         detail = "; ".join(e.statement for e in v.evidence)
-        return HypothesisCheck(anchor, "table" if info.tag.kind != "custom" else "computed",
+        return HypothesisCheck(anchor, "table" if info.tag.family is not None else "computed",
                                True, detail)
     return HypothesisCheck(anchor, "computed", None if v.level == Level.UNKNOWN else False,
                            f"strongest established level: {v.level.name}")
@@ -358,20 +328,20 @@ def _run_steps(steps) -> list[HypothesisCheck]:
     return checks
 
 
-def _route_symmetric_alternating(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
-    if info.tag.kind not in ("symmetric", "alternating"):
-        return None
-    checks = [HypothesisCheck("degree at least 5", "arithmetic", s.n >= 5, f"n = {s.n}")]
-    anchor = "polynomial irreducible with full symmetric or alternating Galois group"
-    ev = info.probe_evidence
-    if ev is not None:
-        checks.append(HypothesisCheck(
-            anchor, "computed", True,
-            f"probe: {ev.conclusion} (witness prime {ev.irreducible_witness}, "
-            f"disc square: {ev.disc_is_square}) -> {info.tag.describe()}"))
-    else:
-        checks.append(HypothesisCheck(anchor, "given", True,
-                                      f"supplied as {info.tag.describe()}"))
+def _route_family(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]:
+    """The theorem of the tag's family: every row of its record, all of them
+    evaluated, so the route concludes exactly where the cited heart table
+    covers (tag, p). The row the tag supplies is computed when the Galois
+    probe supplied the tag; for r > 1 the theorem also asks that p not
+    divide n or q divide n."""
+    tag, ev = info.tag, info.probe_evidence
+    checks = []
+    for anchor, kind, passed, detail in tag.family.hypotheses(tag, s.p):
+        if kind == "given" and ev is not None:
+            kind, detail = "computed", (
+                f"probe: {ev.conclusion} (witness prime {ev.irreducible_witness}, "
+                f"disc square: {ev.disc_is_square}) -> {tag.describe()}")
+        checks.append(HypothesisCheck(anchor, kind, passed, detail))
     if s.r > 1:
         checks.append(HypothesisCheck(
             "either p does not divide n or q divides n", "arithmetic",
@@ -379,63 +349,10 @@ def _route_symmetric_alternating(s: Scenario, info: _GroupInfo) -> list[Hypothes
     return checks
 
 
-def _route_mathieu(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
-    if info.tag.kind != "mathieu" or s.r != 1:
-        return None
-    checks = [
-        HypothesisCheck("degree is one of 11, 12, 22, 23, 24", "arithmetic",
-                        s.n in MATHIEU_ORDERS, f"n = {s.n}"),
-        _check_doubly_transitive(info, s.n),
-        HypothesisCheck("p is an odd prime", "arithmetic", True, f"p = {s.p}"),
-        HypothesisCheck("p > 3 when the degree is 11", "arithmetic",
-                        s.n != 11 or s.p > 3, f"n = {s.n}, p = {s.p}"),
-    ]
-    return checks
-
-
-def _route_psl2(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
-    if info.tag.kind != "psl2" or s.r != 1:
-        return None
-    q, ell = info.tag.q, info.tag.ell
-    checks = [
-        HypothesisCheck("n = q + 1 for the prime power q", "arithmetic",
-                        s.n == q + 1, f"n = {s.n}, q = {q}"),
-        HypothesisCheck("q exceeds 11", "arithmetic", q > 11, f"q = {q}"),
-        HypothesisCheck("either p differs from the field characteristic or q = l = p",
-                        "arithmetic", s.p != ell or q == ell == s.p,
-                        f"p = {s.p}, l = {ell}, q = {q}"),
-        _check_doubly_transitive(info, s.n),
-        HypothesisCheck("point stabilizers are the Borel subgroups of index q + 1",
-                        "table", True, "projective-line action"),
-    ]
-    return checks
-
-
-def _route_psu3(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
-    if info.tag.kind != "psu3" or s.r != 1:
-        return None
-    q, ell = info.tag.q, info.tag.ell
-    checks = [
-        HypothesisCheck("n = q^3 + 1 for the prime power q", "arithmetic",
-                        s.n == q**3 + 1, f"n = {s.n}, q = {q}"),
-        HypothesisCheck("q is not 2 or 5", "arithmetic", q not in (2, 5), f"q = {q}"),
-        HypothesisCheck("p differs from the field characteristic", "arithmetic",
-                        s.p != ell, f"p = {s.p}, l = {ell}"),
-        HypothesisCheck("p does not divide q + 1", "arithmetic",
-                        (q + 1) % s.p != 0, f"q + 1 = {q + 1}, p = {s.p}"),
-        _check_doubly_transitive(info, s.n),
-        HypothesisCheck("point stabilizers are the Borel subgroups of index q^3 + 1",
-                        "table", True, "Hermitian-unital action (recorded citation)"),
-    ]
-    return checks
-
-
-def _route_coprime_order(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
-    if info.tag.kind in ("symmetric", "alternating"):
-        return None  # covered by the dedicated family route
+def _route_coprime_order(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]:
     return _run_steps([
         (_zeta_anchor(s), "assumed", lambda: _check_zeta(s, info)),
-        (DOUBLY_TRANSITIVE, "computed", lambda: _check_doubly_transitive(info, s.n)),
+        (DOUBLY_TRANSITIVE, "computed", lambda: _check_doubly_transitive(info)),
         (COPRIME_ORDER, "computed", lambda: _check_p_coprime_order(s, info)),
         (_index_anchor(s.n - 1), "computed", lambda: _check_index_condition(s, info, s.n - 1)),
     ])
@@ -475,9 +392,7 @@ def _arithmetic_side_condition(s: Scenario, info: _GroupInfo,
                            f"({vs.detail})")
 
 
-def _route_index_criterion(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck] | None:
-    if info.tag.kind in ("symmetric", "alternating"):
-        return None
+def _route_index_criterion(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]:
     n_bound = heart_dim(s.n, s.p)
     return _run_steps([
         (_zeta_anchor(s), "assumed", lambda: _check_zeta(s, info)),
@@ -488,19 +403,9 @@ def _route_index_criterion(s: Scenario, info: _GroupInfo) -> list[HypothesisChec
     ])
 
 
-_RING_ROUTES = [
-    ("symmetric_alternating_ring", _route_symmetric_alternating),
-    ("mathieu_ring", _route_mathieu),
-    ("psl2_projective_line_ring", _route_psl2),
-    ("psu3_unital_ring", _route_psu3),
-    ("coprime_order_ring", _route_coprime_order),
-    ("index_criterion_ring", _route_index_criterion),
-]
-
-_ALGEBRA_ROUTES = [
-    ("symmetric_alternating_algebra", _route_symmetric_alternating),
-    ("coprime_order_algebra", _route_coprime_order),
-    ("index_criterion_algebra", _route_index_criterion),
+_GENERIC_ROUTES = [
+    ("coprime_order", _route_coprime_order),
+    ("index_criterion", _route_index_criterion),
 ]
 
 
@@ -512,20 +417,20 @@ def dispatch(s: Scenario) -> Certificate:
     """
     s.validate()
     info = _resolve_group(s)
-    routes = _RING_ROUTES if s.r == 1 else _ALGEBRA_ROUTES
+    family = info.tag.family
+    routes = list(_GENERIC_ROUTES)
+    if family is not None and (s.r == 1 or family.algebra):
+        routes.insert(0, (family.route, _route_family))
+    suffix = "_ring" if s.r == 1 else "_algebra"
     attempted: list[tuple[str, list[HypothesisCheck]]] = []
     notes: list[str] = []
     if info.probe_failure is not None:
         notes.append(f"galois probe could not certify the group: {info.probe_failure}")
     for name, route in routes:
         checks = route(s, info)
-        if checks is not None:
-            attempted.append((name, checks))
-            if not any(c.failed for c in checks):
-                break
-    if not attempted:
-        notes.append("no theorem route applies to this group source")
-        return Certificate("none", s, [], EndoConclusion("inconclusive"), tuple(notes))
+        attempted.append((name + suffix, checks))
+        if not any(c.failed for c in checks):
+            break
     name, checks = attempted[-1]
     if any(c.failed for c in checks):
         name, checks = attempted[0]
@@ -551,7 +456,7 @@ def check_generic_route(s: Scenario, h: PermGroup) -> list[HypothesisCheck]:
     tag = s.tag if (s.group_source == "tag" and s.tag is not None) else GroupTag.custom(s.n)
     info = _GroupInfo(tag, h)
     checks = [
-        _check_doubly_transitive(info, s.n),
+        _check_doubly_transitive(info),
         _check_heart_abs_irred(s, info),
         _check_index_condition(s, info, heart_dim(s.n, s.p)),
         _arithmetic_side_condition(s, info, allow_very_simple=True),
@@ -567,7 +472,7 @@ def scenario_to_dict(s: Scenario) -> dict:
     group: dict = {"kind": s.group_source}
     if s.group_source == "tag":
         group["kind"] = s.tag.kind
-        if s.tag.kind in ("psl2", "psu3"):
+        if s.tag.ell is not None:
             group["ell"] = s.tag.ell
             group["r"] = s.tag.r
     elif s.group_source == "custom":
@@ -595,18 +500,11 @@ def scenario_from_dict(d: dict) -> Scenario:
                         generators=tuple(group["generators"]), **common)
     if kind == "poly":
         return Scenario(group_source="poly", poly=group["poly"], **common)
-    if kind == "symmetric":
-        tag = GroupTag.symmetric(d["n"])
-    elif kind == "alternating":
-        tag = GroupTag.alternating(d["n"])
-    elif kind == "mathieu":
-        tag = GroupTag.mathieu(d["n"])
-    elif kind == "psl2":
-        tag = GroupTag.psl2(group["ell"], group.get("r", 1))
-    elif kind == "psu3":
-        tag = GroupTag.psu3(group["ell"], group.get("r", 1))
-    else:
+    family = FAMILIES.get(kind)
+    if family is None:
         raise InvalidScenario(f"unknown group kind {kind!r}")
+    make = getattr(GroupTag, kind)  # each family's constructor is named after its kind
+    tag = make(group["ell"], group.get("r", 1)) if family.field else make(d["n"])
     return Scenario(group_source="tag", tag=tag, **common)
 
 

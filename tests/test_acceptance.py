@@ -204,8 +204,11 @@ CUSTOM_POOL = [
 
 PSL2_POOL = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (17, 1), (19, 1)]
 PSU3_POOL = [2, 3, 4, 5, 7, 8, 9, 11, 13]
-ROUTE_NAMES = {name for name, _ in verdict._RING_ROUTES} | {
-    name for name, _ in verdict._ALGEBRA_ROUTES} | {"none"}
+ROUTE_NAMES = {
+    "symmetric_alternating_ring", "mathieu_ring", "psl2_projective_line_ring",
+    "psu3_unital_ring", "coprime_order_ring", "index_criterion_ring",
+    "symmetric_alternating_algebra", "coprime_order_algebra", "index_criterion_algebra",
+}
 
 
 def _random_scenario(rng: random.Random) -> verdict.Scenario:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -281,3 +282,29 @@ def test_analyze_refuses_non_prime_characteristic(tag, ell, capsys):
     code, out, err = run_cli(["analyze", "--group", tag, "--p", "5"], capsys)
     assert code == 1 and out == ""
     assert f"l = {ell} must be prime" in err
+
+
+def test_prime_power_from_integer_roots(capsys):
+    # q = 10^9 + 7 is prime: found as its own first root, not by trial division
+    start = time.perf_counter()
+    code, out, _ = run_cli(["analyze", "--group", "PSL2(1000000007)", "--p", "5"], capsys)
+    assert code == 0 and time.perf_counter() - start < 1
+    assert "group=PSL2(1000000007)" in out
+    assert parse_group_tag("PSL2(25)", None).ell == 5
+    t = parse_group_tag(f"U3({3**20})", None)
+    assert (t.ell, t.r) == (3, 20)
+    code, out, err = run_cli(["analyze", "--group", "PSL2(12)", "--p", "5"], capsys)
+    assert code == 1 and out == "" and err == "error: 12 is not a prime power\n"
+
+
+def test_fixtures_refuse_a_mathieu_degree_that_does_not_exist(tmp_path, capsys):
+    m13 = {"name": "m13", "scenario": {"n": 13, "p": 5, "r": 1, "group": {"kind": "mathieu"}},
+           "expect": {"error": "invalid_scenario"}}
+    path = tmp_path / "m13.jsonl"
+    path.write_text(json.dumps(m13) + "\n" + FIXTURES.read_text().splitlines()[1] + "\n")
+    code, out, err = run_cli(["fixtures", "--run", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert out == ("[pass] m13: rejected as expected: M13 does not exist: the degree must be "
+                   "one of 11, 12, 22, 23, 24\n"
+                   "[pass] symmetric_ring: cyclotomic_ring\n"
+                   "2 passed, 0 failed\n")

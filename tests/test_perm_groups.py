@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -211,3 +212,22 @@ def test_membership():
     a5 = alternating_group(5)
     assert perm.parse_perm("(0 1)(2 3)", 5) in a5
     assert perm.parse_perm("(0 1)", 5) not in a5
+
+
+def test_index_tables_agree_with_enumeration():
+    # an independent route to the family index tables: the subgroup-index
+    # search on relabelled custom copies, which no table can answer
+    rng = random.Random(20261018)
+    named = [symmetric_group(5), symmetric_group(6), alternating_group(5), alternating_group(6),
+             alternating_group(7), psl2_group(13), psl2_group(2, 4), psl2_group(17),
+             psl2_group(19), mathieu_group(11)]
+    for g in named:
+        relabel = list(range(g.degree))
+        rng.shuffle(relabel)
+        copy = _relabelled(g, tuple(relabel))
+        for bound in (g.degree - 1, g.degree - 2):
+            exists, _, source = exists_subgroup_of_index_dividing(g.tag, bound)
+            assert source == "table", (g.tag.describe(), bound)
+            found, _, source = exists_subgroup_of_index_dividing(copy, bound)
+            assert source == "enumeration"
+            assert found == exists, (g.tag.describe(), bound)

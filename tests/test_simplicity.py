@@ -133,10 +133,6 @@ TABLE_TAGS = [GroupTag.mathieu(n) for n in (11, 12, 22, 23, 24)] + [
 TABLE_PRIMES = (3, 5, 7, 11, 13)
 
 
-def _concrete(tag):
-    return mathieu_group(tag.n) if tag.kind == "mathieu" else psl2_group(tag.ell, tag.r)
-
-
 def _cited_pairs():
     return [(tag, p) for tag in TABLE_TAGS for p in TABLE_PRIMES
             if groups.family_heart_table(tag, p)]
@@ -147,7 +143,7 @@ def test_heart_table_agrees_with_meataxe():
     pairs = _cited_pairs()
     assert len(pairs) == 57
     for tag, p in pairs:
-        h = modules.heart(_concrete(tag), p)
+        h = modules.heart(tag.family.concrete(tag), p)
         r = modules.is_irreducible(h)
         assert r.irreducible and modules.commutant_dim(h, r) == 1, (tag.describe(), p)
 
@@ -157,7 +153,7 @@ def test_heart_table_same_answer_from_both_callers():
     for tag, p in _cited_pairs() + outside:
         s = verdict.Scenario(tag.n, p, 1, "tag", tag)
         check = verdict._check_heart_abs_irred(s, verdict._resolve_group(s))
-        v = decide_heart_simplicity(_concrete(tag), tag, p)
+        v = decide_heart_simplicity(tag.family.concrete(tag), tag, p)
         from_table = not any(e.kind == "computation" for e in v.evidence)
         assert from_table == (check.kind == "table" and check.passed is True), (tag, p)
         assert from_table == ((tag, p) not in outside)

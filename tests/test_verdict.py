@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from heartproof import verdict
+from heartproof import groups, verdict
 from heartproof.groups import GroupTag, alternating_group, mathieu_group
 from heartproof.verdict import (
     Certificate,
@@ -287,3 +287,42 @@ def test_route_runner_refuses_anchor_drift():
 
     with pytest.raises(AssertionError):
         verdict._run_steps([("no maximal subgroup index divides 4", "computed", drifted)])
+
+
+def test_mathieu_degree_outside_the_family_is_invalid():
+    with pytest.raises(InvalidScenario, match="M13 does not exist"):
+        dispatch(scenario_from_dict({"n": 13, "p": 5, "group": {"kind": "mathieu"}}))
+
+
+# the ranges the cited heart tables cover, stated here independently of the
+# family records: Mortimer's table for M_n except M11 at p = 3, for PSL(2, q)
+# with q > 11 and p != l or q = l = p, for U3(q) with q not in {2, 5}, p != l
+# and p not dividing q + 1
+ROUTE_TAGS = ([(GroupTag.mathieu(n), lambda t, p: not (t.n == 11 and p == 3))
+               for n in (11, 12, 22, 23, 24)]
+              + [(GroupTag.psl2(ell, r), lambda t, p: t.q > 11 and (p != t.ell or t.q == p))
+                 for ell, r in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                                (2, 4), (5, 2), (3, 3))]
+              + [(GroupTag.psu3(ell, r), lambda t, p: t.q not in (2, 5) and p != t.ell
+                  and (t.q + 1) % p != 0)
+                 for ell, r in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1))])
+
+
+def test_family_routes_conclude_exactly_where_the_tables_apply():
+    covered = 0
+    for tag, cited in ROUTE_TAGS:
+        for p in (3, 5, 7, 11, 13):
+            s = Scenario(tag.n, p, 1, "tag", tag)
+            info = verdict._resolve_group(s)
+            table = groups.family_heart_table(tag, p)
+            assert table == cited(tag, p), (tag.describe(), p)
+            route = verdict._route_family(s, info)
+            assert all(c.passed is True for c in route) == table, (tag.describe(), p)
+            heart = verdict._check_heart_abs_irred(s, info)
+            assert (heart.kind == "table" and heart.passed is True) == table, (tag.describe(), p)
+            cert = dispatch(s)
+            if table:
+                assert cert.theorem == tag.family.route + "_ring"
+                assert cert.conclusion.kind == "cyclotomic_ring"
+            covered += table
+    assert covered == 54  # 24 Mathieu, 18 PSL2 and 12 U3 pairs
