@@ -278,11 +278,12 @@ class PermGroup:
         """Recompute the order with an independent stabilizer chain."""
         return StabilizerChain(list(self.generators), self.degree, base_order).order()
 
-    def elements(self, limit: int = SUBGROUP_ENUM_THRESHOLD) -> tuple[Perm, ...]:
+    def elements(self) -> tuple[Perm, ...]:
         """All elements, deterministically ordered, for small groups only."""
         if self._elements is None:
-            if self.order > limit:
-                raise TooLarge(f"group of order {self.order} exceeds element limit {limit}")
+            if self.order > SUBGROUP_ENUM_THRESHOLD:
+                raise TooLarge(f"group of order {self.order} exceeds element limit "
+                               f"{SUBGROUP_ENUM_THRESHOLD}")
             self._elements = tuple(sorted(_closure(self.generators, self.degree)))
         return self._elements
 
@@ -325,7 +326,7 @@ class PermGroup:
         return len(seen) == n * (n - 1)
 
 
-def _closure(gens, degree: int, limit: int | None = None) -> set[Perm]:
+def _closure(gens, degree: int) -> set[Perm]:
     e = perm.identity(degree)
     seen = {e}
     queue = [e]
@@ -334,8 +335,8 @@ def _closure(gens, degree: int, limit: int | None = None) -> set[Perm]:
         for g in gens:
             y = perm.mult(x, g)
             if y not in seen:
-                if limit is not None and len(seen) >= limit:
-                    raise TooLarge(f"closure exceeded {limit} elements")
+                if len(seen) >= SUBGROUP_ENUM_THRESHOLD:
+                    raise TooLarge(f"closure exceeded {SUBGROUP_ENUM_THRESHOLD} elements")
                 seen.add(y)
                 queue.append(y)
     return seen
@@ -464,7 +465,7 @@ class Family:
     algebra: bool                    # the theorem also holds for q = p^r, r > 1
     field: bool                      # the tag carries (l, r), q = l^r
     degrees: frozenset[int] | None   # the degrees that exist; None: any, or q's
-    simple: bool                     # simple nonabelian
+    simple: Callable[[GroupTag], bool]  # simple nonabelian
     name: Callable[[GroupTag], str]
     order: Callable[[GroupTag], int]
     doubly_transitive: Callable[[GroupTag], str]
@@ -490,7 +491,7 @@ def _min_index(t: GroupTag) -> int:
 # splits as index 2 plus index >= n, A_n has minimal index n.
 SYMMETRIC = Family(
     "symmetric", "symmetric_alternating", algebra=True, field=False, degrees=None,
-    simple=False,
+    simple=lambda t: False,
     name=lambda t: f"S{t.n}",
     order=lambda t: factorial(t.n),
     doubly_transitive=lambda t: f"{t.describe()} is doubly transitive",
@@ -505,7 +506,7 @@ SYMMETRIC = Family(
 )
 
 ALTERNATING = replace(
-    SYMMETRIC, kind="alternating", simple=True,
+    SYMMETRIC, kind="alternating", simple=lambda t: t.n >= 5,
     name=lambda t: f"A{t.n}",
     order=lambda t: factorial(t.n) // 2,
     index_table=lambda t: (frozenset(), t.n) if t.n >= 5 else None,
@@ -517,7 +518,7 @@ ALTERNATING = replace(
 # 1980), cited except for M11 at p = 3.
 MATHIEU = Family(
     "mathieu", "mathieu", algebra=False, field=False, degrees=frozenset(MATHIEU_ORDERS),
-    simple=True,
+    simple=lambda t: True,
     name=lambda t: f"M{t.n}",
     order=lambda t: MATHIEU_ORDERS[t.n],
     doubly_transitive=lambda t: f"M{t.n} on {t.n} points is doubly transitive",
@@ -537,10 +538,12 @@ MATHIEU = Family(
     concrete=lambda t: mathieu_group(t.n),
 )
 
-# PSL(2, q): minimal index q + 1 for q > 11 (Suzuki's subgroup list, as
-# cited); Mortimer's heart table for q > 11 with p != l or q = l = p.
+# PSL(2, q): simple for q > 3; minimal index q + 1 for q > 11 (Suzuki's
+# subgroup list, as cited); Mortimer's heart table for q > 11 with p != l or
+# q = l = p.
 PSL2 = Family(
-    "psl2", "psl2_projective_line", algebra=False, field=True, degrees=None, simple=True,
+    "psl2", "psl2_projective_line", algebra=False, field=True, degrees=None,
+    simple=lambda t: t.q > 3,
     name=lambda t: f"PSL2({t.ell}^{t.r})" if (t.r or 1) > 1 else f"PSL2({t.ell})",
     order=lambda t: psl2_order(t.q),
     doubly_transitive=lambda t: f"PSL(2,{t.q}) on the projective line is doubly transitive",
@@ -563,11 +566,13 @@ PSL2 = Family(
     concrete=lambda t: psl2_group(t.ell, t.r),
 )
 
-# U_3(q) on the Hermitian unital: minimal index q^3 + 1 for q not in {2, 5}
-# (Mitchell's subgroup list); Mortimer's heart table for q not in {2, 5},
-# p != l and p not dividing q + 1. Both recorded as cited, not re-derived.
+# U_3(q) on the Hermitian unital: simple for q > 2 (U_3(2), of order 72, is
+# solvable); minimal index q^3 + 1 for q not in {2, 5} (Mitchell's subgroup
+# list); Mortimer's heart table for q not in {2, 5}, p != l and p not
+# dividing q + 1. Both recorded as cited, not re-derived.
 PSU3 = Family(
-    "psu3", "psu3_unital", algebra=False, field=True, degrees=None, simple=True,
+    "psu3", "psu3_unital", algebra=False, field=True, degrees=None,
+    simple=lambda t: t.q > 2,
     name=lambda t: f"U3({t.q})",
     order=lambda t: t.q**3 * (t.q**3 + 1) * (t.q**2 - 1) // gcd(3, t.q + 1),
     doubly_transitive=lambda t: f"U3({t.q}) on the Hermitian unital is doubly transitive",
@@ -642,7 +647,7 @@ class SubgroupClass:
         return len(self.elements)
 
 
-def subgroup_classes(g: PermGroup, limit: int = SUBGROUP_ENUM_THRESHOLD) -> list[SubgroupClass]:
+def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
     """All subgroups up to conjugacy, by bottom-up cyclic extension.
 
     Every subgroup arises as <H, x> from some already-found H, so extending
@@ -652,12 +657,13 @@ def subgroup_classes(g: PermGroup, limit: int = SUBGROUP_ENUM_THRESHOLD) -> list
     (on the point stabilizer G_b only), `modules.sl2f5_two_dim_reps`, and the
     tests, as the oracle for the index search.
     """
-    if g.order > limit:
-        raise TooLarge(f"|G| = {g.order} exceeds enumeration threshold {limit}")
+    if g.order > SUBGROUP_ENUM_THRESHOLD:
+        raise TooLarge(f"|G| = {g.order} exceeds enumeration threshold "
+                       f"{SUBGROUP_ENUM_THRESHOLD}")
     cached = getattr(g, "_subgroup_classes", None)
     if cached is not None:
         return cached
-    elements = list(g.elements(limit))
+    elements = list(g.elements())
     whole = frozenset(elements)
     degree = g.degree
     ident = perm.identity(degree)
@@ -727,9 +733,7 @@ def _join(h: frozenset, gens: tuple[Perm, ...], whole: frozenset) -> frozenset:
     return frozenset(elems)
 
 
-def exists_subgroup_of_index_dividing(
-    g_or_tag, n_bound: int, limit: int = SUBGROUP_ENUM_THRESHOLD
-) -> tuple[bool, str, str]:
+def exists_subgroup_of_index_dividing(g_or_tag, n_bound: int) -> tuple[bool, str, str]:
     """Is there a proper subgroup of index d with 1 < d and d | n_bound?
 
     Family tags answer from minimal-index tables. A concrete group of order
@@ -781,7 +785,7 @@ def exists_subgroup_of_index_dividing(
 
     if isinstance(g_or_tag, PermGroup):
         g = g_or_tag
-        if g.order > limit:
+        if g.order > SUBGROUP_ENUM_THRESHOLD:
             raise TooLarge(
                 f"|G| = {g.order} exceeds enumeration threshold and no table applies"
             )

@@ -390,7 +390,12 @@ def _mat2_mult(x, y, p):
     return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
-def _closure2(gens, p, limit=130):
+# _closure2 gives up (None) past this many elements: a closure larger than
+# the 120 of the binary icosahedral group cannot be it
+_CLOSURE2_CAP = 130
+
+
+def _closure2(gens, p):
     seen = {(1, 0, 0, 1)}
     queue = [(1, 0, 0, 1)]
     while queue:
@@ -398,7 +403,7 @@ def _closure2(gens, p, limit=130):
         for g in gens:
             y = _mat2_mult(x, g, p)
             if y not in seen:
-                if len(seen) >= limit:
+                if len(seen) >= _CLOSURE2_CAP:
                     return None
                 seen.add(y)
                 queue.append(y)

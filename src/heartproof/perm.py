@@ -87,9 +87,15 @@ def format_perm(p: Perm) -> str:
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+# the largest degree parse_perm accepts: a permutation holds one entry per
+# point, and the heart of a degree-n action is an (n - 1)^2 int64 matrix,
+# 8 MB at this limit
+MAX_DEGREE = 1000
+
 
 def parse_perm(text: str, n: int = 0) -> Perm:
-    """Parse cycle notation; n forces a minimum degree."""
+    """Parse cycle notation; n forces a minimum degree. Refuses a degree
+    above MAX_DEGREE before allocating anything."""
     stripped = text.strip()
     if not re.fullmatch(r"(\s*\([\d\s,]*\)\s*)+", stripped):
         raise ValueError(f"malformed permutation {text!r}")
@@ -102,9 +108,9 @@ def parse_perm(text: str, n: int = 0) -> Perm:
         if len(set(points)) != len(points):
             raise ValueError(f"repeated point in cycle {m.group(0)!r}")
         cycle_lists.append(points)
-    degree = n
-    for c in cycle_lists:
-        degree = max(degree, max(c) + 1)
+    degree = max([n] + [max(c) + 1 for c in cycle_lists])
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} is above the limit MAX_DEGREE = {MAX_DEGREE}")
     images = list(range(degree))
     for c in cycle_lists:
         for a, b in zip(c, c[1:] + c[:1]):

@@ -264,20 +264,19 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def factor_degrees_mod_p(f: PolyZ, p: int) -> list[int]:
-    """Sorted multiset of irreducible factor degrees of f mod p.
+def factor_degrees_mod_p(f: PolyZ, p: int, disc: int) -> list[int]:
+    """Sorted multiset of irreducible factor degrees of f mod p, for
+    disc = disc(f).
 
-    Requires p not dividing the leading coefficient and f mod p squarefree
-    (BadReduction otherwise: the caller samples another prime).
+    Requires p to divide neither lc(f) nor disc (BadReduction otherwise: the
+    caller samples another prime). Then f mod p keeps its degree, and it is
+    squarefree because its discriminant is disc mod p.
     """
     if f.lc % p == 0:
         raise BadReduction(f"p = {p} divides the leading coefficient")
-    fp = f.reduce_mod(p)
-    if gfpoly.degree(fp) != f.degree:
-        raise BadReduction(f"degree drops mod {p}")
-    if not gfpoly.is_squarefree(fp, p):
-        raise BadReduction(f"f mod {p} has repeated factors")
-    return gfpoly.factor_degrees(gfpoly.monic(fp, p), p)
+    if disc % p == 0:
+        raise BadReduction(f"p = {p} divides the discriminant")
+    return gfpoly.factor_degrees(gfpoly.monic(f.reduce_mod(p), p), p)
 
 
 def sample_primes(f: PolyZ, disc: int, budget: int) -> list[int]:
@@ -351,7 +350,7 @@ def classify_galois(f: PolyZ, prime_budget: int = 40, seed: int = 0) -> GaloisEv
     witness = None
     patterns: dict[tuple[int, ...], int] = {}
     for p in primes:
-        degs = tuple(factor_degrees_mod_p(f, p))
+        degs = tuple(factor_degrees_mod_p(f, p, disc))
         if degs not in patterns:
             patterns[degs] = p
         if witness is None and degs == (n,):

@@ -7,16 +7,20 @@ where the record says the theorem covers it), then coprime_order and
 index_criterion. The first route whose hypotheses all pass supplies the
 conclusion; the certificate records every hypothesis with its check kind
 and outcome, and a conclusive certificate can never contain a failed
-check. Facts about family-tagged groups are read from their records and
-the tables those cite, never from a branch on the family name;
-computation (MeatAxe, subgroup enumeration) is reserved for concrete
-custom groups, plus cheap group-theoretic index facts.
+check. Routes own their anchors: the family route reads its rows from the
+record, and each generic route writes its anchors once, in its step list,
+while its checks return only (kind, passed, detail). Facts about
+family-tagged groups are read from their records and the tables those
+cite, never from a branch on the family name; computation (MeatAxe,
+subgroup enumeration) is reserved for concrete custom groups, plus cheap
+group-theoretic index facts.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from . import perm, probe, simplicity
 from .fields import PRIME_TEST_LIMIT, is_prime
@@ -30,7 +34,7 @@ from .groups import (
     exists_subgroup_of_index_dividing,
     family_heart_table,
 )
-from .simplicity import Level
+from .simplicity import Level, SimplicityVerdict
 from .weights import heart_dim
 
 SCHEMA_VERSION = 1
@@ -209,104 +213,100 @@ def _concrete_for_tag(tag: GroupTag) -> PermGroup | None:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis helpers
+# Hypothesis checks
 # ---------------------------------------------------------------------------
 
-COPRIME_ORDER = "p does not divide the group order"
-HEART_ABS_IRRED = "heart of the permutation action is absolutely irreducible"
+Check = tuple[str, bool | None, str]  # (kind, passed, detail): a `groups.Row` less its anchor
 
 
-def _zeta_anchor(s: Scenario) -> str:
-    return f"base field contains a primitive {s.q}-th root of unity"
-
-
-def _index_anchor(bound: int) -> str:
-    return f"no maximal subgroup index divides {bound}"
-
-
-def _side_condition_anchor(s: Scenario) -> str:
-    if s.r == 1:
-        return "either n = p + 1, or p does not divide n - 1, or the heart is very simple"
-    return ("either q divides n, or n = q + 1, or q does not divide n - 1, "
-            "or the heart is very simple")
-
-
-def _check_zeta(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
-    anchor = _zeta_anchor(s)
-    if info.tag.family is not None and info.tag.family.simple:
-        return HypothesisCheck(
-            anchor, "table", True,
-            "Galois image is simple nonabelian: adjoining the root of unity "
-            "cannot shrink it, so the assumption is free")
+def _check_zeta(s: Scenario, info: _GroupInfo) -> Check:
+    if info.tag.family is not None and info.tag.family.simple(info.tag):
+        return ("table", True, "Galois image is simple nonabelian: adjoining the root of "
+                "unity cannot shrink it, so the assumption is free")
     if s.assume_zeta:
-        return HypothesisCheck(anchor, "assumed", True, "asserted by the caller")
-    return HypothesisCheck(anchor, "assumed", False,
-                           "not asserted and no enlargement argument applies")
+        return "assumed", True, "asserted by the caller"
+    return "assumed", False, "not asserted and no enlargement argument applies"
 
 
-def _check_doubly_transitive(info: _GroupInfo) -> HypothesisCheck:
-    anchor = DOUBLY_TRANSITIVE
+def _check_doubly_transitive(info: _GroupInfo) -> Check:
     tag = info.tag
     if tag.family is not None:
-        return HypothesisCheck(anchor, "table", True, tag.family.doubly_transitive(tag))
+        return "table", True, tag.family.doubly_transitive(tag)
     if info.concrete is not None:
         ok = info.concrete.is_doubly_transitive()
-        return HypothesisCheck(anchor, "computed", ok,
-                               "orbit on ordered pairs of distinct points "
-                               + ("is full" if ok else "is not full"))
-    return HypothesisCheck(anchor, "computed", None, "no concrete group to test")
+        return ("computed", ok, "orbit on ordered pairs of distinct points "
+                + ("is full" if ok else "is not full"))
+    return "computed", None, "no concrete group to test"
 
 
-def _check_p_coprime_order(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
+def _check_p_coprime_order(s: Scenario, info: _GroupInfo) -> Check:
     if info.tag.family is not None:
         order, kind = info.tag.family.order(info.tag), "table"
     elif info.concrete is not None:
         order, kind = info.concrete.order, "computed"
     else:
-        return HypothesisCheck(COPRIME_ORDER, "computed", None, "group order unavailable")
-    return HypothesisCheck(COPRIME_ORDER, kind, order % s.p != 0, f"|H| = {order}, p = {s.p}")
+        return "computed", None, "group order unavailable"
+    return kind, order % s.p != 0, f"|H| = {order}, p = {s.p}"
 
 
-def _check_index_condition(s: Scenario, info: _GroupInfo, bound: int) -> HypothesisCheck:
-    anchor = _index_anchor(bound)
+def _check_index_condition(info: _GroupInfo, bound: int) -> Check:
     target = info.concrete if info.concrete is not None else info.tag
     try:
         exists, why, source = exists_subgroup_of_index_dividing(target, bound)
     except TooLarge as exc:
-        return HypothesisCheck(anchor, "computed", None, str(exc))
-    return HypothesisCheck(anchor, "table" if source == "table" else "computed", not exists, why)
+        return "computed", None, str(exc)
+    return "table" if source == "table" else "computed", not exists, why
 
 
-def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
-    """Representation fact: tables for family tags, computation for custom groups."""
-    anchor = HEART_ABS_IRRED
+def _check_heart_abs_irred(s: Scenario, info: _GroupInfo,
+                           absolute: SimplicityVerdict | None) -> Check:
+    """Representation fact: tables for family tags, else `absolute`, the
+    `absolute_simplicity` verdict of a custom group (None without one)."""
     tag = info.tag
     if tag.family is not None:
         cited = family_heart_table(tag, s.p)
-        return HypothesisCheck(anchor, "table", True if cited else None,
-                               tag.family.heart(tag, cited))
-    if info.concrete is None:
-        return HypothesisCheck(anchor, "computed", None, "no concrete group to test")
-    v = simplicity.absolute_simplicity(info.concrete, s.p, s.seed)
-    if v.level == Level.NOT_SIMPLE:
-        return HypothesisCheck(anchor, "computed", False,
-                               f"invariant subspace of dimension {len(v.witness_subspace)}")
-    if v.commutant_dim is None:
-        return HypothesisCheck(anchor, "computed", True,
-                               "doubly transitive with order coprime to p (shortcut)")
-    return HypothesisCheck(anchor, "computed", v.commutant_dim == 1,
-                           f"irreducible by the MeatAxe; commutant dimension {v.commutant_dim}")
+        return "table", True if cited else None, tag.family.heart(tag, cited)
+    if absolute is None:
+        return "computed", None, "no concrete group to test"
+    if absolute.level == Level.NOT_SIMPLE:
+        return ("computed", False,
+                f"invariant subspace of dimension {len(absolute.witness_subspace)}")
+    if absolute.commutant_dim is None:
+        return "computed", True, "doubly transitive with order coprime to p (shortcut)"
+    return ("computed", absolute.commutant_dim == 1,
+            f"irreducible by the MeatAxe; commutant dimension {absolute.commutant_dim}")
 
 
-def _very_simple_fallback(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
-    anchor = "heart is very simple (fallback)"
-    v = simplicity.decide_heart_simplicity(info.concrete, info.tag, s.p, seed=s.seed)
+def _arithmetic_side_condition(s: Scenario, info: _GroupInfo,
+                               absolute: SimplicityVerdict | None) -> Check:
+    """The side condition of the generic route, as a single hypothesis.
+
+    For r = 1: either n = p + 1 or p does not divide n - 1. For r > 1 the
+    modulus is q; when the p- and q-versions would disagree, the detail
+    records it. Otherwise a very simple heart satisfies the hypothesis as
+    the alternative branch of the theorem; `absolute` is the heart row's
+    verdict, so the MeatAxe does not run again.
+    """
+    if s.r == 1:
+        arith_ok = s.n == s.p + 1 or (s.n - 1) % s.p != 0
+        detail = f"n = {s.n}, p = {s.p}"
+    else:
+        arith_ok = s.n % s.q == 0 or s.n == s.q + 1 or (s.n - 1) % s.q != 0
+        detail = f"n = {s.n}, q = {s.q}"
+        p_version = s.n == s.p + 1 or (s.n - 1) % s.p != 0
+        if p_version != arith_ok:
+            detail += (f"; modulus note: the p-version of this condition would "
+                       f"{'pass' if p_version else 'fail'}")
+    if arith_ok:
+        return "arithmetic", True, detail
+    v = simplicity.decide_heart_simplicity(info.concrete, info.tag, s.p, seed=s.seed,
+                                           absolute=absolute)
     if v.level == Level.VERY_SIMPLE:
-        detail = "; ".join(e.statement for e in v.evidence)
-        return HypothesisCheck(anchor, "table" if info.tag.family is not None else "computed",
-                               True, detail)
-    return HypothesisCheck(anchor, "computed", None if v.level == Level.UNKNOWN else False,
-                           f"strongest established level: {v.level.name}")
+        return ("table" if info.tag.family is not None else "computed", True,
+                detail + "; arithmetic branch fails but the heart is very simple: "
+                + "; ".join(e.statement for e in v.evidence))
+    return ("arithmetic", False, detail + "; very-simple branch also unavailable "
+            f"(strongest established level: {v.level.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +315,18 @@ def _very_simple_fallback(s: Scenario, info: _GroupInfo) -> HypothesisCheck:
 
 def _run_steps(steps) -> list[HypothesisCheck]:
     """Evaluate (anchor, kind if skipped, check) steps up to the first check
-    that does not pass; the steps after it are listed as not evaluated."""
+    that does not pass; the steps after it are listed as not evaluated.
+
+    A route's step list is the only place its anchors are written: each
+    check returns (kind, passed, detail) and the anchor is attached here.
+    """
     checks: list[HypothesisCheck] = []
     for anchor, skipped_kind, check in steps:
         if checks and checks[-1].failed:
             checks.append(HypothesisCheck(anchor, skipped_kind, None,
                                           "not evaluated (earlier hypothesis failed)"))
-            continue
-        checks.append(check())
-        if checks[-1].anchor != anchor:
-            raise AssertionError(f"check {checks[-1].anchor!r} ran as step {anchor!r}")
+        else:
+            checks.append(HypothesisCheck(anchor, *check()))
     return checks
 
 
@@ -351,55 +353,38 @@ def _route_family(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]:
 
 def _route_coprime_order(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]:
     return _run_steps([
-        (_zeta_anchor(s), "assumed", lambda: _check_zeta(s, info)),
+        (f"base field contains a primitive {s.q}-th root of unity", "assumed",
+         lambda: _check_zeta(s, info)),
         (DOUBLY_TRANSITIVE, "computed", lambda: _check_doubly_transitive(info)),
-        (COPRIME_ORDER, "computed", lambda: _check_p_coprime_order(s, info)),
-        (_index_anchor(s.n - 1), "computed", lambda: _check_index_condition(s, info, s.n - 1)),
+        ("p does not divide the group order", "computed",
+         lambda: _check_p_coprime_order(s, info)),
+        (f"no maximal subgroup index divides {s.n - 1}", "computed",
+         lambda: _check_index_condition(info, s.n - 1)),
     ])
-
-
-def _arithmetic_side_condition(s: Scenario, info: _GroupInfo,
-                               allow_very_simple: bool) -> HypothesisCheck:
-    """The side condition of the generic route, as a single hypothesis.
-
-    For r = 1: either n = p + 1 or p does not divide n - 1. For r > 1 the
-    modulus is q; when the p- and q-versions would disagree, the detail
-    records it. When allowed, a very simple heart satisfies the hypothesis
-    as the alternative branch of the theorem.
-    """
-    anchor = _side_condition_anchor(s)
-    if s.r == 1:
-        arith_ok = s.n == s.p + 1 or (s.n - 1) % s.p != 0
-        detail = f"n = {s.n}, p = {s.p}"
-    else:
-        arith_ok = s.n % s.q == 0 or s.n == s.q + 1 or (s.n - 1) % s.q != 0
-        detail = f"n = {s.n}, q = {s.q}"
-        p_version = s.n == s.p + 1 or (s.n - 1) % s.p != 0
-        if p_version != arith_ok:
-            detail += (f"; modulus note: the p-version of this condition would "
-                       f"{'pass' if p_version else 'fail'}")
-    if arith_ok:
-        return HypothesisCheck(anchor, "arithmetic", True, detail)
-    if not allow_very_simple:
-        return HypothesisCheck(anchor, "arithmetic", False, detail)
-    vs = _very_simple_fallback(s, info)
-    if vs.passed is True:
-        return HypothesisCheck(anchor, vs.kind, True,
-                               detail + "; arithmetic branch fails but the heart is "
-                               "very simple: " + vs.detail)
-    return HypothesisCheck(anchor, "arithmetic", False,
-                           detail + "; very-simple branch also unavailable "
-                           f"({vs.detail})")
 
 
 def _route_index_criterion(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]:
     n_bound = heart_dim(s.n, s.p)
+
+    @cache
+    def absolute() -> SimplicityVerdict | None:
+        """The heart's `absolute_simplicity` verdict, shared by the heart row
+        and the very-simple fallback; family tags answer from their tables."""
+        if info.tag.family is not None or info.concrete is None:
+            return None
+        return simplicity.absolute_simplicity(info.concrete, s.p, s.seed)
+
     return _run_steps([
-        (_zeta_anchor(s), "assumed", lambda: _check_zeta(s, info)),
-        (HEART_ABS_IRRED, "computed", lambda: _check_heart_abs_irred(s, info)),
-        (_index_anchor(n_bound), "computed", lambda: _check_index_condition(s, info, n_bound)),
-        (_side_condition_anchor(s), "arithmetic",
-         lambda: _arithmetic_side_condition(s, info, allow_very_simple=True)),
+        (f"base field contains a primitive {s.q}-th root of unity", "assumed",
+         lambda: _check_zeta(s, info)),
+        ("heart of the permutation action is absolutely irreducible", "computed",
+         lambda: _check_heart_abs_irred(s, info, absolute())),
+        (f"no maximal subgroup index divides {n_bound}", "computed",
+         lambda: _check_index_condition(info, n_bound)),
+        ("either n = p + 1, or p does not divide n - 1, or the heart is very simple"
+         if s.r == 1 else
+         "either q divides n, or n = q + 1, or q does not divide n - 1, or the heart is very simple",
+         "arithmetic", lambda: _arithmetic_side_condition(s, info, absolute())),
     ])
 
 
@@ -442,26 +427,6 @@ def dispatch(s: Scenario) -> Certificate:
             ff = next(c for c in other_checks if c.failed)
             notes.append(f"route {other_name} failed at: {ff.anchor}")
     return Certificate(name, s, checks, conclusion, tuple(notes))
-
-
-def check_generic_route(s: Scenario, h: PermGroup) -> list[HypothesisCheck]:
-    """The generic checklist for an explicit subgroup of the Galois group.
-
-    Reports double transitivity, heart absolute irreducibility, the index
-    condition, and the arithmetic side condition with the very-simple
-    alternative recorded when the arithmetic branch fails. Informational:
-    certificates come from dispatch.
-    """
-    s.validate()
-    tag = s.tag if (s.group_source == "tag" and s.tag is not None) else GroupTag.custom(s.n)
-    info = _GroupInfo(tag, h)
-    checks = [
-        _check_doubly_transitive(info),
-        _check_heart_abs_irred(s, info),
-        _check_index_condition(s, info, heart_dim(s.n, s.p)),
-        _arithmetic_side_condition(s, info, allow_very_simple=True),
-    ]
-    return checks
 
 
 # ---------------------------------------------------------------------------

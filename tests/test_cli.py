@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from heartproof.cli import main, parse_group_tag
+from heartproof.perm import MAX_DEGREE
 
 FIXTURES = Path("src/heartproof/data/fixtures.jsonl")
 
@@ -210,6 +211,33 @@ def test_fixtures_value_errors_are_fail_lines(tmp_path, capsys):
     assert out == ("[FAIL] repeated_root: unexpected rejection: x^5 - 2*x^4 + x^3 has repeated roots\n"
                    "[FAIL] bad_generator: unexpected rejection: malformed permutation '(0 1'\n"
                    "0 passed, 2 failed\n")
+
+
+@pytest.mark.parametrize("command, generator", [
+    (["analyze", "--p", "7", "--assume-zeta"], f"(0 {MAX_DEGREE})"),
+    (["analyze", "--p", "7", "--n", str(MAX_DEGREE + 1)], "(0 1 2)"),
+    (["heart", "--p", "7"], f"(0 {MAX_DEGREE})"),
+    (["group"], f"(0 {MAX_DEGREE})"),
+], ids=["analyze", "analyze-n", "heart", "group"])
+def test_group_file_degree_limit(command, generator, tmp_path, capsys):
+    path = tmp_path / "grp.txt"
+    path.write_text(generator + "\n")
+    code, out, err = run_cli([*command, "--group-file", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == (f"error: degree {MAX_DEGREE + 1} is above the limit "
+                   f"MAX_DEGREE = {MAX_DEGREE}\n")
+
+
+def test_fixtures_refuse_a_degree_above_the_limit(tmp_path, capsys):
+    big = {"name": "big", "scenario": {"n": MAX_DEGREE + 1, "p": 7, "r": 1, "group": {
+        "kind": "custom", "generators": [f"(0 {MAX_DEGREE})"]}},
+        "expect": {"conclusion": "inconclusive"}}
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps(big) + "\n")
+    code, out, err = run_cli(["fixtures", "--run", str(path)], capsys)
+    assert code == 1 and err == ""
+    assert out == (f"[FAIL] big: unexpected rejection: degree {MAX_DEGREE + 1} is above the "
+                   f"limit MAX_DEGREE = {MAX_DEGREE}\n0 passed, 1 failed\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-3", "1001"])

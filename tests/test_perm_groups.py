@@ -32,6 +32,15 @@ def test_perm_parse_rejects_malformed():
             perm.parse_perm(bad)
 
 
+def test_perm_parse_refuses_a_degree_above_the_limit():
+    limit = perm.MAX_DEGREE
+    assert len(perm.parse_perm(f"(0 {limit - 1})")) == limit
+    for text, n in ((f"(0 {limit})", 0), ("(0 1)", limit + 1)):
+        with pytest.raises(ValueError, match=f"degree {limit + 1} is above the limit "
+                                             f"MAX_DEGREE = {limit}"):
+            perm.parse_perm(text, n)
+
+
 def test_perm_algebra():
     a = perm.parse_perm("(0 1 2)", 4)
     b = perm.parse_perm("(2 3)", 4)

@@ -115,17 +115,19 @@ def test_discriminant_two_routes_agree():
 
 def test_factor_degrees_examples():
     f = parse_poly("x^5 - x - 1")
-    assert factor_degrees_mod_p(f, 2) == [2, 3]
-    assert factor_degrees_mod_p(parse_poly("x^2+1"), 3) == [2]
-    assert factor_degrees_mod_p(parse_poly("x^2+1"), 5) == [1, 1]
-    assert sum(factor_degrees_mod_p(f, 7)) == 5
+    assert factor_degrees_mod_p(f, 2, 2869) == [2, 3]
+    assert factor_degrees_mod_p(parse_poly("x^2+1"), 3, -4) == [2]
+    assert factor_degrees_mod_p(parse_poly("x^2+1"), 5, -4) == [1, 1]
+    assert sum(factor_degrees_mod_p(f, 7, discriminant(f))) == 5
 
 
 def test_bad_reduction():
-    with pytest.raises(BadReduction):
-        factor_degrees_mod_p(parse_poly("x^2 - 3"), 3)  # x^2 mod 3
-    with pytest.raises(BadReduction):
-        factor_degrees_mod_p(parse_poly("3*x^2 + x + 1"), 3)  # lc drops
+    f = parse_poly("x^2 - 3")
+    with pytest.raises(BadReduction, match="discriminant"):
+        factor_degrees_mod_p(f, 3, discriminant(f))  # x^2 mod 3
+    f = parse_poly("3*x^2 + x + 1")
+    with pytest.raises(BadReduction, match="leading coefficient"):
+        factor_degrees_mod_p(f, 3, discriminant(f))  # lc drops
 
 
 def test_classify_sn():
@@ -167,8 +169,9 @@ def test_classify_rejects_repeated_roots():
 
 def test_degree_multisets_sum_to_n():
     f = parse_poly("x^6 - 2*x^4 + 3*x - 7")
-    for p in probe.sample_primes(f, probe.discriminant(f), 15):
-        assert sum(factor_degrees_mod_p(f, p)) == 6
+    disc = probe.discriminant(f)
+    for p in probe.sample_primes(f, disc, 15):
+        assert sum(factor_degrees_mod_p(f, p, disc)) == 6
 
 
 def test_composite_degree_needs_primitivity_certificate():

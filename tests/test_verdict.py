@@ -4,15 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from heartproof import groups, verdict
-from heartproof.groups import GroupTag, alternating_group, mathieu_group
+from heartproof import groups, modules, verdict
+from heartproof.groups import GroupTag
 from heartproof.verdict import (
     Certificate,
     InvalidScenario,
     Scenario,
     certificate_from_json,
     certificate_to_json,
-    check_generic_route,
     dispatch,
     explain,
     scenario_from_dict,
@@ -151,24 +150,65 @@ def test_scenario_dict_roundtrip():
         assert again == s
 
 
-def test_check_generic_route_examples():
+def _index_route(s):
+    return verdict._route_index_criterion(s, verdict._resolve_group(s))
+
+
+def test_index_criterion_route_examples():
     # order coprime to p: everything passes through the shortcut facts
     s = Scenario(5, 11, 1, "custom", generators=A5, assume_zeta=True)
-    checks = check_generic_route(s, alternating_group(5))
-    assert all(c.passed is True for c in checks)
+    assert all(c.passed is True for c in _index_route(s))
 
     # n = p + 1 branch
     s = Scenario(6, 5, 1, "custom", generators=A6, assume_zeta=True)
-    checks = check_generic_route(s, alternating_group(6))
-    arith = next(c for c in checks if c.anchor.startswith("either"))
-    assert arith.passed is True and "n = 6, p = 5" in arith.detail
+    arith = _index_route(s)[-1]
+    assert arith.passed is True and arith.detail == "n = 6, p = 5"
 
     # M11 at p = 5: arithmetic branch fails, very simplicity rescues
     s = Scenario(11, 5, 1, "tag", GroupTag.mathieu(11))
-    checks = check_generic_route(s, mathieu_group(11))
-    arith = next(c for c in checks if c.anchor.startswith("either"))
-    assert arith.passed is True
+    arith = _index_route(s)[-1]
+    assert arith.anchor.startswith("either") and arith.passed is True
     assert "very simple" in arith.detail
+
+
+# PSL(2, 9) on the projective line, as a custom presentation
+PSL2_9 = ("(0 1 2)(3 4 5)(6 7 8)", "(1 6 2 3)(4 7 8 5)", "(0 9)(1 2)(4 7)(5 8)")
+
+
+def test_very_simple_fallback_reuses_the_heart_rows_meataxe(monkeypatch):
+    is_irreducible, calls = modules.is_irreducible, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_irreducible(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "is_irreducible", counted)
+    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+    cert = dispatch(Scenario(10, 3, 1, "custom", generators=PSL2_9, assume_zeta=True))
+    assert len(calls) == 1
+    assert cert.notes == ("route index_criterion_ring failed at: either n = p + 1, "
+                          "or p does not divide n - 1, or the heart is very simple",)
+    side = _index_route(Scenario(10, 3, 1, "custom", generators=PSL2_9, assume_zeta=True))[-1]
+    assert (side.kind, side.passed) == ("arithmetic", False)
+    assert side.detail == ("n = 10, p = 3; very-simple branch also unavailable "
+                           "(strongest established level: CENTRAL_SIMPLE)")
+
+
+def test_zeta_is_free_only_for_simple_family_groups():
+    # U3(2) has order 72 and is solvable; U3(3) is simple
+    zeta = "base field contains a primitive 5-th root of unity"
+    for ell, simple in ((2, False), (3, True)):
+        tag = GroupTag.psu3(ell)
+        s = Scenario(tag.n, 5, 1, "tag", tag)
+        row = verdict._route_coprime_order(s, verdict._resolve_group(s))[0]
+        assert row.anchor == zeta
+        assert (row.kind, row.passed) == (("table", True) if simple else ("assumed", False))
+    assert GroupTag.psu3(2).family.order(GroupTag.psu3(2)) == 72
+    cert = dispatch(Scenario(9, 5, 1, "tag", GroupTag.psu3(2)))
+    assert f"route coprime_order_ring failed at: {zeta}" in cert.notes
+    cert = dispatch(Scenario(9, 5, 1, "tag", GroupTag.psu3(2), assume_zeta=True))
+    assert cert.notes[0] == ("route coprime_order_ring failed at: "
+                             "no maximal subgroup index divides 8")
 
 
 def test_psl2_heart_table_range():
@@ -176,7 +216,7 @@ def test_psl2_heart_table_range():
     def heart_check(ell, r, p):
         tag = GroupTag.psl2(ell, r)
         s = Scenario(tag.n, p, 1, "tag", tag)
-        return verdict._check_heart_abs_irred(s, verdict._resolve_group(s)).passed
+        return verdict._check_heart_abs_irred(s, verdict._resolve_group(s), None)[1]
 
     assert heart_check(5, 2, 5) is None    # PSL2(25), p = l, q != l
     assert heart_check(3, 3, 3) is None    # PSL2(27), p = l, q != l
@@ -281,14 +321,6 @@ def test_index_criterion_route_skip_rows():
     ]
 
 
-def test_route_runner_refuses_anchor_drift():
-    def drifted():
-        return verdict.HypothesisCheck("no maximal subgroup index divides 5", "computed", True)
-
-    with pytest.raises(AssertionError):
-        verdict._run_steps([("no maximal subgroup index divides 4", "computed", drifted)])
-
-
 def test_mathieu_degree_outside_the_family_is_invalid():
     with pytest.raises(InvalidScenario, match="M13 does not exist"):
         dispatch(scenario_from_dict({"n": 13, "p": 5, "group": {"kind": "mathieu"}}))
@@ -318,8 +350,8 @@ def test_family_routes_conclude_exactly_where_the_tables_apply():
             assert table == cited(tag, p), (tag.describe(), p)
             route = verdict._route_family(s, info)
             assert all(c.passed is True for c in route) == table, (tag.describe(), p)
-            heart = verdict._check_heart_abs_irred(s, info)
-            assert (heart.kind == "table" and heart.passed is True) == table, (tag.describe(), p)
+            kind, passed, _ = verdict._check_heart_abs_irred(s, info, None)
+            assert (kind == "table" and passed is True) == table, (tag.describe(), p)
             cert = dispatch(s)
             if table:
                 assert cert.theorem == tag.family.route + "_ring"
