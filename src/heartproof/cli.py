@@ -168,16 +168,15 @@ def _cmd_heart(args) -> int:
 def _cmd_weights(args) -> int:
     try:
         params = weights.CurveParams(args.n, args.p, args.r)
+        if args.n % args.p != 0:
+            sys.stdout.write(weights.weight_profile(params).table())
+            return 0
     except (ValueError, weights.HypothesisViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.n % args.p == 0:
-        print(f"not applicable: p = {args.p} divides n = {args.n} "
-              "(no closed-form profile in this branch); "
-              f"genus {weights.genus(params)}")
-        return 0
-    profile = weights.weight_profile(params)
-    sys.stdout.write(profile.table())
+    print(f"not applicable: p = {args.p} divides n = {args.n} "
+          "(no closed-form profile in this branch); "
+          f"genus {weights.genus(params)}")
     return 0
 
 
@@ -199,10 +198,9 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    seed = int(os.environ.get("HEARTPROOF_SEED", args.seed))
     try:
         f = probe.parse_poly(args.poly)
-        ev = probe.classify_galois(f, prime_budget=args.budget, seed=seed)
+        ev = probe.classify_galois(f, prime_budget=args.budget)
     except (ValueError, probe.NotSquarefree) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -340,7 +338,6 @@ def build_parser() -> _Parser:
     pp.add_argument("--poly", required=True)
     pp.add_argument("--budget", type=_prime_budget, default=40,
                     help=f"number of primes to sample, 1 to {probe.MAX_PRIME_BUDGET}")
-    pp.add_argument("--seed", type=int, default=0)
     pp.set_defaults(func=_cmd_probe)
 
     pf = sub.add_parser("fixtures", help="replay scenario/expectation fixtures")

@@ -407,8 +407,10 @@ def psl2_group(ell: int, r: int = 1) -> PermGroup:
     Points are indexed 0..q-1 by the canonical field-element encoding, with
     infinity last at index q. Generators are the unit transvections, plus
     transvections by the field generator when r > 1; the constructor checks
-    the resulting order against q(q^2 - 1)/gcd(2, q - 1).
+    the resulting order against q(q^2 - 1)/gcd(2, q - 1). A degree q + 1
+    above perm.MAX_DEGREE is refused before anything is built.
     """
+    perm.check_degree(ell**r + 1)
     if not is_prime(ell):
         raise InvalidField(f"{ell} is not prime")
     field = ExtField(ell, r)

@@ -9,19 +9,20 @@ degree.
 Irreducibility is decided by the MeatAxe: a randomized search for an
 algebra element with an irreducible charpoly factor of minimal nullity,
 combined with spin-up in the module and its dual (Norton's criterion).
-The commutant of an irreducible module is then read from that certificate.
+The commutant of an irreducible module is then read from that certificate,
+which keeps the null space and the standard basis the MeatAxe spun.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gfpoly, linalg, perm
-from .fields import sqrt_mod_p
+from .fields import is_prime, sqrt_mod_p
 from .groups import PermGroup, subgroup_classes, coset_action
 from .linalg import identity, kernel_basis, mat_mul
 from .perm import Perm
@@ -40,8 +41,6 @@ class BadCongruence(ValueError):
 
 
 def _require_odd_prime(p: int, dim: int):
-    from .fields import is_prime
-
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     if dim * p * p >= 2 ** 63:
@@ -184,11 +183,18 @@ def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
 
 @dataclass
 class IrreducibilityResult:
+    """A MeatAxe verdict: echelonized rows of an invariant subspace if
+    reducible; if irreducible of dimension > 1, the certificate: the element
+    A drawn at `attempt` has the charpoly factor f = `factor` of nullity deg f,
+    N = `null_space` is the row null space of f(A), (`basis`, `recipe`) = spin(N[0])."""
+
     irreducible: bool
-    # For reducible modules: echelonized basis rows of an invariant subspace.
     invariant_subspace: np.ndarray | None = None
-    # For irreducible modules: the singular-element data behind the verdict.
-    certificate: dict = field(default_factory=dict)
+    attempt: int | None = None
+    factor: list[int] | None = None
+    null_space: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    recipe: list[tuple[int, int]] | None = None
 
 
 def _random_algebra_element(mats: list[np.ndarray], p: int, rng: random.Random) -> np.ndarray:
@@ -214,14 +220,13 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
     if dim < 1:
         raise ValueError("module dimension must be >= 1")
     if dim == 1:
-        return IrreducibilityResult(True, certificate={"reason": "dimension 1"})
+        return IrreducibilityResult(True)
     if not mats:
         return IrreducibilityResult(False, invariant_subspace=identity(dim)[:1])
     mats_t = [m.T.copy() for m in mats]
     rng = random.Random(seed)
-    candidates = list(mats)
     for attempt in range(budget):
-        a = candidates[attempt] if attempt < len(candidates) else _random_algebra_element(mats, p, rng)
+        a = mats[attempt] if attempt < len(mats) else _random_algebra_element(mats, p, rng)
         cp = linalg.charpoly(a, p)
         factors = gfpoly.factor_squarefree(gfpoly.squarefree_part(cp, p), p, seed=seed)
         for f in sorted(factors, key=lambda f: (len(f), f)):
@@ -229,7 +234,7 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
             null_rows = kernel_basis(fa.T, p)
             if not null_rows:
                 continue
-            rows, _ = spin(null_rows[0], mats, p)
+            rows, recipe = spin(null_rows[0], mats, p)
             if rows.shape[0] < dim:
                 return IrreducibilityResult(False, invariant_subspace=linalg.rref(rows, p)[0])
             dual_rows, _ = spin(kernel_basis(fa, p)[0], mats_t, p)
@@ -237,51 +242,45 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
                 sub = np.array(kernel_basis(dual_rows, p))
                 return IrreducibilityResult(False, invariant_subspace=linalg.rref(sub, p)[0])
             if len(null_rows) == len(f) - 1:
-                cert = {
-                    "attempt": attempt,
-                    "factor": [int(c) for c in f],
-                    "nullity": len(null_rows),
-                    "element": [[int(x) for x in row] for row in a],
-                }
-                return IrreducibilityResult(True, certificate=cert)
+                return IrreducibilityResult(True, attempt=attempt, factor=[int(c) for c in f],
+                                            null_space=np.array(null_rows), basis=rows,
+                                            recipe=recipe)
     raise RandomnessExhausted(f"no singular element of minimal nullity in {budget} attempts")
 
 
 def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
     """Dimension of End_G(V) = {X : X M(g) = M(g) X for all generators g}.
 
-    `result` is the irreducible verdict of `is_irreducible` for this module;
-    its certificate gives the answer without a d^2-sized system (Holt-Rees,
-    Testing modules for irreducibility, 1994). With A the certified element
-    and f the certified factor, every X in End_G(V) commutes with f(A), so
-    it maps the row null space N of f(A) into itself; and v = N[0] spins up
-    to V, so X is fixed by vX. For each w in N, the map X_w sending the
-    standard basis spun from v to the same words applied to w is therefore
-    the only candidate with vX = w, and End_G(V) is the null space of the
-    linear map w -> ([X_w, M(g)])_g on N.
+    Read from `result`, the irreducible `is_irreducible` verdict for this
+    module, without a d^2-sized system (Holt-Rees, Testing modules for
+    irreducibility, 1994). Every X in End_G(V) commutes with f(A), so it maps
+    N into itself; and v = N[0] spins up to V, so X is fixed by vX and
+    dim End_G(V) <= e = dim N. For w in N, the map X_w sending the standard
+    basis to the words of its recipe applied to w is the only candidate with
+    vX = w, and End_G(V) is the null space of w -> ([X_w, M(g)])_g on N.
     """
     if not result.irreducible:
         raise ValueError("commutant_dim needs an irreducible MeatAxe result")
     p, d, mats = module.p, module.dim, module.gen_matrices
-    cert = result.certificate
     if d == 1:
         return 1
-    fa = linalg.poly_of_matrix(cert["factor"], linalg.asmat(cert["element"], p), p)
-    null_rows = kernel_basis(fa.T, p)
-    e = len(null_rows)
+    if (result.basis is None or result.basis.shape != (d, d)
+            or max(g for _, g in result.recipe) >= len(mats)):
+        raise ValueError("irreducibility certificate does not match this module")
+    e = len(result.null_space)
     if e == 1:
         return 1
-    basis, recipe = spin(null_rows[0], mats, p)
-    if basis.shape[0] < d:
-        raise ValueError("irreducibility certificate does not match this module")
     images = np.empty((d, e, d), dtype=np.int64)
-    images[0] = np.array(null_rows)
-    for i, (src, g) in enumerate(recipe, start=1):
+    images[0] = result.null_space
+    for i, (src, g) in enumerate(result.recipe, start=1):
         images[i] = (images[src] @ mats[g]) % p
-    # xs[k] = basis^-1 W_k is the one candidate X with v X = null_rows[k]
-    xs = np.einsum("ij,jwk->wik", linalg.mat_inv(basis, p), images) % p
-    brackets = [((xs @ m - m @ xs) % p).reshape(e, d * d) for m in mats]
-    return e - linalg.rank(np.concatenate(brackets, axis=1), p)
+    if not np.array_equal(images[:, 0], result.basis):
+        raise ValueError("irreducibility certificate does not match this module")
+    # xs[k] = basis^-1 W_k is the one candidate X with v X = N[k]
+    xs = np.einsum("ij,jwk->wik", linalg.mat_inv(result.basis, p), images) % p
+    # one row per (generator, entry), one column per w: rref stops after e columns
+    brackets = np.concatenate([(xs @ m - m @ xs).reshape(e, d * d) for m in mats], axis=1)
+    return e - linalg.rank(brackets.T % p, p)
 
 
 def is_absolutely_irreducible(module: GModule, seed: int = 0) -> bool:

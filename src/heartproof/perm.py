@@ -87,10 +87,15 @@ def format_perm(p: Perm) -> str:
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
-# the largest degree parse_perm accepts: a permutation holds one entry per
-# point, and the heart of a degree-n action is an (n - 1)^2 int64 matrix,
-# 8 MB at this limit
+# the largest degree parse_perm and the family constructors accept: a
+# permutation holds one entry per point, and the heart of a degree-n action
+# is an (n - 1)^2 int64 matrix, 8 MB at this limit
 MAX_DEGREE = 1000
+
+
+def check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} is above the limit MAX_DEGREE = {MAX_DEGREE}")
 
 
 def parse_perm(text: str, n: int = 0) -> Perm:
@@ -109,8 +114,7 @@ def parse_perm(text: str, n: int = 0) -> Perm:
             raise ValueError(f"repeated point in cycle {m.group(0)!r}")
         cycle_lists.append(points)
     degree = max([n] + [max(c) + 1 for c in cycle_lists])
-    if degree > MAX_DEGREE:
-        raise ValueError(f"degree {degree} is above the limit MAX_DEGREE = {MAX_DEGREE}")
+    check_degree(degree)
     images = list(range(degree))
     for c in cycle_lists:
         for a, b in zip(c, c[1:] + c[:1]):

@@ -303,7 +303,6 @@ class GaloisEvidence:
     poly: PolyZ
     degree: int
     budget: int
-    seed: int
     irreducible_witness: int | None
     cycle_types: tuple[tuple[tuple[int, ...], int], ...]  # (pattern, first prime)
     disc: int
@@ -338,7 +337,7 @@ def _is_transposition_pattern(pattern: tuple[int, ...]) -> bool:
     return pattern.count(2) == 1 and all(q % 2 == 1 for q in pattern if q != 2)
 
 
-def classify_galois(f: PolyZ, prime_budget: int = 40, seed: int = 0) -> GaloisEvidence:
+def classify_galois(f: PolyZ, prime_budget: int = 40) -> GaloisEvidence:
     """Deterministic evidence gathering over the first unramified primes."""
     n = f.degree
     disc = discriminant(f)
@@ -420,7 +419,6 @@ def classify_galois(f: PolyZ, prime_budget: int = 40, seed: int = 0) -> GaloisEv
         poly=f,
         degree=n,
         budget=prime_budget,
-        seed=seed,
         irreducible_witness=witness,
         cycle_types=tuple(sorted(patterns.items())),
         disc=disc,
@@ -449,7 +447,7 @@ def verify_evidence(ev: GaloisEvidence) -> bool:
         return False
     if is_perfect_square(d1) != ev.disc_is_square:
         return False
-    fresh = classify_galois(f, ev.budget, ev.seed)
+    fresh = classify_galois(f, ev.budget)
     return (
         fresh.conclusion == ev.conclusion
         and fresh.conclusion_tag == ev.conclusion_tag

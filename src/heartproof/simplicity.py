@@ -162,7 +162,7 @@ def very_simple_alt(n: int, p: int) -> SimplicityVerdict:
         return v
     v = SimplicityVerdict(Level.CENTRAL_SIMPLE, mat2_subalgebra=True)
     v.attach(
-        "computation",
+        "table-fact",
         f"p = {p} is +-1 mod 5: the heart, pulled back to the binary icosahedral cover, "
         "splits as a tensor product of two 2-dim modules, so it is not very simple",
     )

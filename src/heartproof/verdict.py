@@ -35,7 +35,7 @@ from .groups import (
     family_heart_table,
 )
 from .simplicity import Level, SimplicityVerdict
-from .weights import heart_dim
+from .weights import MAX_R, heart_dim
 
 SCHEMA_VERSION = 1
 
@@ -79,6 +79,8 @@ class Scenario:
             raise InvalidScenario(f"p = {self.p} must be an odd prime")
         if self.r < 1:
             raise InvalidScenario(f"r = {self.r} must be at least 1")
+        if self.r > MAX_R:
+            raise InvalidScenario(f"r = {self.r} is above the limit MAX_R = {MAX_R}")
         if self.n % self.p == 0 and self.n % self.q != 0:
             raise InvalidScenario(
                 f"p = {self.p} divides n = {self.n} but q = {self.q} does not"
@@ -197,7 +199,7 @@ def _resolve_group(s: Scenario) -> _GroupInfo:
     f = probe.parse_poly(s.poly)
     if f.degree != s.n:
         raise InvalidScenario(f"polynomial degree {f.degree} does not match n = {s.n}")
-    ev = probe.classify_galois(f, prime_budget=40, seed=s.seed)
+    ev = probe.classify_galois(f, prime_budget=40)
     if ev.resolved_group is not None:
         return _GroupInfo(GroupTag(ev.resolved_group, n=s.n), None, probe_evidence=ev)
     return _GroupInfo(GroupTag.custom(s.n), None, probe_evidence=ev,

@@ -26,6 +26,18 @@ class NotDivisible(ValueError):
     """phi(q) does not divide 2*dim: the cyclotomic rank is not integral."""
 
 
+# the largest exponent r accepted, far above the r <= 2 of every test,
+# fixture and benchmark input: q = p^r then has under 2500 digits for any p
+# that `is_prime` decides (p < 3.3e24), inside Python's 4300-digit limit for
+# printing an int
+MAX_R = 100
+
+# the largest q a weight profile is listed for, one row per i < q: 10^5 rows
+# (0.9 MB of text), against q <= 37^2 in every test, fixture and
+# benchmark input
+MAX_PROFILE_Q = 100_000
+
+
 def euler_phi_prime_power(p: int, i: int) -> int:
     return (p - 1) * p ** (i - 1)
 
@@ -45,6 +57,8 @@ class CurveParams:
             raise ValueError(f"p = {self.p} must be an odd prime")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+        if self.r > MAX_R:
+            raise ValueError(f"r = {self.r} is above the limit MAX_R = {MAX_R}")
         if self.n % self.p == 0 and self.n % self.q != 0:
             raise HypothesisViolated(
                 f"p = {self.p} divides n = {self.n} but q = {self.q} does not"
@@ -118,6 +132,8 @@ def weight_profile(params: CurveParams) -> WeightProfile:
     if params.n % params.p == 0:
         raise NotApplicable("multiplicity formula requires p not dividing n")
     q = params.q
+    if q > MAX_PROFILE_Q:
+        raise ValueError(f"q = {q} is above the limit MAX_PROFILE_Q = {MAX_PROFILE_Q}")
     mults = tuple(
         (i, params.n * i // q) for i in range(1, q) if i % params.p != 0
     )

@@ -8,6 +8,7 @@ import pytest
 
 from heartproof.cli import main, parse_group_tag
 from heartproof.perm import MAX_DEGREE
+from heartproof.weights import MAX_PROFILE_Q, MAX_R
 
 FIXTURES = Path("src/heartproof/data/fixtures.jsonl")
 
@@ -240,6 +241,46 @@ def test_fixtures_refuse_a_degree_above_the_limit(tmp_path, capsys):
                    f"limit MAX_DEGREE = {MAX_DEGREE}\n0 passed, 1 failed\n")
 
 
+def test_psl2_degree_limit(monkeypatch, capsys):
+    # PSL(2, 1009) acts on 1010 points; with no field to build, an attempt
+    # to build it fails at once instead of running for a minute
+    from heartproof import groups
+
+    monkeypatch.setattr(groups, "ExtField", None)
+    for command in (["group"], ["heart", "--p", "5"]):
+        code, out, err = run_cli([*command, "--group", "PSL2(1009)"], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: degree 1010 is above the limit MAX_DEGREE = {MAX_DEGREE}\n"
+    # the table route never builds the group
+    code, out, _ = run_cli(["analyze", "--group", "PSL2(1009)", "--p", "5"], capsys)
+    assert code == 0 and out.endswith("endomorphism ring = Z[zeta_5] (dimension 4 over Q)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--group", "S", "--n", "7", "--p", "11", "--r", str(MAX_R + 1)],
+     f"r = {MAX_R + 1} is above the limit MAX_R = {MAX_R}"),
+    (["weights", "--n", "5", "--p", "7", "--r", str(MAX_R + 1)],
+     f"r = {MAX_R + 1} is above the limit MAX_R = {MAX_R}"),
+    (["weights", "--n", "5", "--p", "100003"],
+     f"q = 100003 is above the limit MAX_PROFILE_Q = {MAX_PROFILE_Q}"),
+], ids=["analyze-r", "weights-r", "weights-q"])
+def test_exponent_and_profile_limits(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_fixtures_refuse_an_exponent_above_the_limit(tmp_path, capsys):
+    line = {"name": "high_r", "scenario": {"n": 7, "p": 11, "r": MAX_R + 1, "group": {
+        "kind": "symmetric"}}, "expect": {"conclusion": "cyclotomic_product_algebra"}}
+    path = tmp_path / "high_r.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    code, out, err = run_cli(["fixtures", "--run", str(path)], capsys)
+    assert code == 1 and err == ""
+    assert out == (f"[FAIL] high_r: unexpected rejection: r = {MAX_R + 1} is above the "
+                   f"limit MAX_R = {MAX_R}\n0 passed, 1 failed\n")
+
+
 @pytest.mark.parametrize("budget", ["0", "-3", "1001"])
 def test_probe_refuses_budget_outside_limit(budget, capsys):
     code, out, err = run_cli(["probe", "--poly", "x^5 - x - 1", "--budget", budget], capsys)
@@ -278,6 +319,8 @@ def test_console_entry_point():
     (["--group", "A", "--n", "5"], "7", "heart_a5_f7.txt"),
     # a reducible heart: the cyclic group of order 7
     (["--group-file", "(0 1 2 3 4 5 6)\n"], "11", "heart_c7_f11.txt"),
+    # p = +-1 mod 5: the tensor split is a recorded fact, not a computation
+    (["--group", "A", "--n", "5"], "11", "heart_a5_f11.txt"),
 ])
 def test_heart_output_golden(group, p, golden, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("HEARTPROOF_SEED", raising=False)

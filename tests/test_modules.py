@@ -78,7 +78,7 @@ def test_meataxe_irreducible_heart():
     h = heart(alternating_group(5), 7)
     r = is_irreducible(h)
     assert r.irreducible
-    assert r.certificate["nullity"] == len(r.certificate["factor"]) - 1
+    assert len(r.null_space) == len(r.factor) - 1
     assert commutant_dim(h, r) == kronecker_commutant_dim(h) == 1
 
 
@@ -108,7 +108,7 @@ def test_cyclic_heart_f7_is_simple_not_absolutely():
     h = heart(cyclic5(), 7)
     r = is_irreducible(h)
     assert r.irreducible
-    assert r.certificate["nullity"] == 4
+    assert len(r.null_space) == 4
     assert commutant_dim(h, r) == kronecker_commutant_dim(h) == 4
 
 
@@ -124,7 +124,7 @@ def test_commutant_certificate_shapes():
     # dimension 1: no element or factor in the certificate
     line = modules.GModule(cyclic5(), 7, 1, [linalg.asmat([[2]], 7)])
     r = is_irreducible(line)
-    assert r.certificate == {"reason": "dimension 1"}
+    assert r.irreducible and r.factor is None and r.null_space is None and r.basis is None
     assert commutant_dim(line, r) == kronecker_commutant_dim(line) == 1
     # a linear certified factor (e = 1) and a wider one (e > 1)
     widths = set()
@@ -133,7 +133,7 @@ def test_commutant_certificate_shapes():
         h = heart(g, p)
         r = is_irreducible(h)
         assert r.irreducible
-        widths.add(r.certificate["nullity"] > 1)
+        widths.add(len(r.null_space) > 1)
         assert commutant_dim(h, r) == kronecker_commutant_dim(h) == 1
     assert widths == {False, True}
 
@@ -150,13 +150,46 @@ def test_commutant_rejects_reducible_and_foreign_results():
     trivial = modules.GModule(cyclic5(), 5, 10, [linalg.identity(10)])
     with pytest.raises(ValueError):
         commutant_dim(trivial, s)
+    # the heart of S11 has as many generators, but the replayed words do
+    # not give back the stored basis
+    with pytest.raises(ValueError, match="does not match"):
+        commutant_dim(heart(symmetric_group(11), 5), s)
+
+
+def test_commutant_reads_the_certificate(monkeypatch):
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("commutant_dim recomputed what the MeatAxe found")
+
+    h = heart(mathieu_group(11), 5)
+    wide = is_irreducible(h)
+    line_heart = heart(symmetric_group(8), 11)
+    line = is_irreducible(line_heart)
+    assert (len(wide.null_space), len(line.null_space)) == (5, 1)
+    shapes, rref = [], linalg.rref
+
+    def recorded(m, p):
+        shapes.append(m.shape)
+        return rref(m, p)
+
+    monkeypatch.setattr(linalg, "rref", recorded)
+    for module, name in [(linalg, "asmat"), (linalg, "poly_of_matrix"),
+                         (linalg, "kernel_basis"), (modules, "kernel_basis"), (modules, "spin")]:
+        monkeypatch.setattr(module, name, rebuilt)
+    assert commutant_dim(h, wide) == 1
+    # one inverse of the standard basis, then a rank with one column per w in N
+    assert shapes == [(10, 20), (2 * 10 * 10, 5)]
+    # e = 1: the stored nullity answers, with no matrix touched
+    untouched = modules.GModule(line_heart.group, 11, 7, [None] * len(line_heart.gen_matrices))
+    assert commutant_dim(untouched, line) == 1 and len(shapes) == 2
 
 
 def test_meataxe_seed_determinism():
     h = heart(mathieu_group(11), 5)
     a = is_irreducible(h, seed=1)
     b = is_irreducible(h, seed=1)
-    assert a.irreducible and b.irreducible and a.certificate == b.certificate
+    assert a.irreducible and b.irreducible
+    assert (a.attempt, a.factor, a.recipe) == (b.attempt, b.factor, b.recipe)
+    assert np.array_equal(a.null_space, b.null_space) and np.array_equal(a.basis, b.basis)
 
 
 def test_tensor():

@@ -131,7 +131,7 @@ def test_bad_reduction():
 
 
 def test_classify_sn():
-    ev = classify_galois(parse_poly("x^5 - x - 1"), 40, 0)
+    ev = classify_galois(parse_poly("x^5 - x - 1"), 40)
     assert ev.conclusion == "proven_sn"
     assert ev.resolved_group == "symmetric"
     assert ev.irreducible_witness is not None
@@ -140,7 +140,7 @@ def test_classify_sn():
 
 
 def test_classify_an():
-    ev = classify_galois(parse_poly("x^5 + 20*x + 16"), 40, 0)
+    ev = classify_galois(parse_poly("x^5 + 20*x + 16"), 40)
     assert ev.conclusion == "proven_an_or_sn"
     assert ev.disc_is_square
     assert ev.resolved_group == "alternating"
@@ -148,7 +148,7 @@ def test_classify_an():
 
 
 def test_classify_x4_plus_1():
-    ev = classify_galois(parse_poly("x^4 + 1"), 40, 0)
+    ev = classify_galois(parse_poly("x^4 + 1"), 40)
     patterns = [p for p, _ in ev.cycle_types]
     assert (4,) not in patterns  # splits mod every odd prime
     assert ev.conclusion == "unknown"
@@ -157,14 +157,14 @@ def test_classify_x4_plus_1():
 
 def test_classify_deterministic():
     f = parse_poly("x^6 - 2*x^4 + 3*x - 7")
-    a = classify_galois(f, 25, 0)
-    b = classify_galois(f, 25, 0)
+    a = classify_galois(f, 25)
+    b = classify_galois(f, 25)
     assert a == b
 
 
 def test_classify_rejects_repeated_roots():
     with pytest.raises(NotSquarefree):
-        classify_galois(parse_poly("x^2"), 10, 0)
+        classify_galois(parse_poly("x^2"), 10)
 
 
 def test_degree_multisets_sum_to_n():
@@ -177,7 +177,7 @@ def test_degree_multisets_sum_to_n():
 def test_composite_degree_needs_primitivity_certificate():
     # degree 6 with Galois group S_6: certification goes through the
     # 5-cycle primitivity argument, never the bare pattern rule
-    ev = classify_galois(parse_poly("x^6 + x^4 + x - 5"), 40, 0)
+    ev = classify_galois(parse_poly("x^6 + x^4 + x - 5"), 40)
     assert ev.conclusion == "proven_sn"
     assert any("primitive" in reason for reason in ev.reasons)
     assert (1, 5) in [pat for pat, _ in ev.cycle_types]

@@ -6,6 +6,7 @@ import pytest
 
 from heartproof import groups, modules, verdict
 from heartproof.groups import GroupTag
+from heartproof.weights import MAX_R
 from heartproof.verdict import (
     Certificate,
     InvalidScenario,
@@ -88,6 +89,8 @@ def test_invalid_scenarios():
         dispatch(Scenario(7, 2, 1, "tag", GroupTag.symmetric(7)))
     with pytest.raises(InvalidScenario):
         dispatch(Scenario(12, 11, 1, "tag", GroupTag.mathieu(11)))
+    with pytest.raises(InvalidScenario, match=f"r = {MAX_R + 1} is above the limit MAX_R = {MAX_R}"):
+        dispatch(Scenario(7, 11, MAX_R + 1, "tag", GroupTag.symmetric(7)))
 
 
 def test_zeta_required_for_custom():

@@ -1,6 +1,8 @@
 import pytest
 
 from heartproof.weights import (
+    MAX_PROFILE_Q,
+    MAX_R,
     CurveParams,
     HypothesisViolated,
     NotApplicable,
@@ -28,6 +30,9 @@ def test_standing_hypothesis():
         CurveParams(5, 4, 1)
     with pytest.raises(ValueError):
         CurveParams(5, 2, 1)
+    assert CurveParams(5, 3, MAX_R).q == 3**MAX_R
+    with pytest.raises(ValueError, match=f"r = {MAX_R + 1} is above the limit MAX_R = {MAX_R}"):
+        CurveParams(5, 3, MAX_R + 1)
 
 
 def test_profile_examples():
@@ -42,6 +47,13 @@ def test_profile_examples():
     w = weight_profile(CurveParams(5, 3, 1))
     assert [m for _, m in w.mults] == [1, 3]
     assert w.gcd == 1 and w.support == 2 and 2 * w.support >= 3 + 1
+
+
+def test_profile_size_limit():
+    # 100003 is the least prime above the limit
+    with pytest.raises(ValueError, match=f"q = 100003 is above the limit "
+                                         f"MAX_PROFILE_Q = {MAX_PROFILE_Q}"):
+        weight_profile(CurveParams(5, 100003, 1))
 
 
 def test_profile_not_applicable():
