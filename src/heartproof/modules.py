@@ -268,14 +268,16 @@ def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
             or max(g for _, g in result.recipe) >= len(mats)):
         raise ValueError("irreducibility certificate does not match this module")
     e = len(result.null_space)
-    if e == 1:
-        return 1
+    # replaying N[0] through the recipe must give back the stored basis, also
+    # for e = 1, or the certificate was made for another module
     images = np.empty((d, e, d), dtype=np.int64)
     images[0] = result.null_space
     for i, (src, g) in enumerate(result.recipe, start=1):
         images[i] = (images[src] @ mats[g]) % p
     if not np.array_equal(images[:, 0], result.basis):
         raise ValueError("irreducibility certificate does not match this module")
+    if e == 1:
+        return 1
     # xs[k] = basis^-1 W_k is the one candidate X with v X = N[k]
     xs = np.einsum("ij,jwk->wik", linalg.mat_inv(result.basis, p), images) % p
     # one row per (generator, entry), one column per w: rref stops after e columns

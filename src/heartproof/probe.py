@@ -14,6 +14,22 @@ Soundness rules, used contrapositively or directly:
 
 Certified conclusions only ever rest on those facts; everything else is
 reported as Heuristic or Unknown.
+
+Factor patterns are read from Frobenius traces (Berlekamp, Bell Syst.
+Tech. J. 46, 1967). Let f of degree n be squarefree mod p with irreducible
+factors of degrees d_i, and let Q be its Frobenius matrix, h -> h^p on
+F_p[x]/(f), whose row i is x^(i*p) mod f. The algebra is the product of
+the fields F_{p^(d_i)}, and in a normal basis of each the Frobenius is a
+d_i-cycle (Lidl-Niederreiter, Finite Fields, Thm 2.35). So
+tr(Q^k) = sum of the d_i dividing k, taken mod p; that sum is at most n,
+so for n < p the residue is the integer itself. Writing N_d for the number
+of factors of degree d, tr(Q^k) = sum_{d | k} d * N_d, and Moebius
+inversion gives every N_k for k <= n/2; what degree is left over is 0 or
+one factor above n/2. `factor_degrees_mod_primes` stacks every prime with
+n < p and n * p^2 < 2^63 into one int64 batch, so every entry of a matrix
+product, a sum of n products below p^2, is exact. Any other prime takes
+the gcd route of `factor_degrees_mod_p`: for p <= n the residue of
+tr(Q^k) is ambiguous, and past the bound int64 products would overflow.
 """
 
 from __future__ import annotations
@@ -22,14 +38,19 @@ import re
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
+
 from . import gfpoly
 from .fields import is_prime
 
 
-# Named limits on the probe's inputs, whose work grows with both; they lie
-# above every fixture, golden and benchmark input (degree <= 13, 40 primes).
+# Named limits on the probe's inputs, whose work grows with each; they lie
+# above every fixture, golden and benchmark input (degree <= 13, 40 primes,
+# coefficients below 2^5). The Bareiss discriminant grows with coefficient
+# size: at degree 50 with 64-bit coefficients it takes about 7 s.
 MAX_POLY_DEGREE = 50
 MAX_PRIME_BUDGET = 1000
+MAX_COEFF_BITS = 64
 
 
 class BadReduction(ValueError):
@@ -102,6 +123,7 @@ def parse_poly(text: str) -> PolyZ:
         body = text.strip("[]")
         coeffs = [int(t) for t in re.split(r"[,\s]+", body.strip()) if t]
         _check_degree(len(coeffs) - 1)
+        _check_coeff_bits(coeffs)
         return PolyZ(tuple(coeffs))
     pos = 0
     terms: list[tuple[int, int]] = []  # (exponent, coefficient)
@@ -134,6 +156,7 @@ def parse_poly(text: str) -> PolyZ:
         coeffs[e] += c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
+    _check_coeff_bits(coeffs)
     return PolyZ(tuple(coeffs))
 
 
@@ -141,6 +164,13 @@ def _check_degree(degree: int) -> None:
     if degree > MAX_POLY_DEGREE:
         raise ValueError(f"degree {degree} is above the limit MAX_POLY_DEGREE = "
                          f"{MAX_POLY_DEGREE}")
+
+
+def _check_coeff_bits(coeffs: list[int]) -> None:
+    bits = max(map(abs, coeffs), default=0).bit_length()
+    if bits > MAX_COEFF_BITS:
+        raise ValueError(f"a coefficient of {bits} bits is above the limit MAX_COEFF_BITS = "
+                         f"{MAX_COEFF_BITS}")
 
 
 def is_squarefree(f: PolyZ) -> bool:
@@ -264,6 +294,13 @@ def is_perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
+def _check_reduction(f: PolyZ, p: int, disc: int) -> None:
+    if f.lc % p == 0:
+        raise BadReduction(f"p = {p} divides the leading coefficient")
+    if disc % p == 0:
+        raise BadReduction(f"p = {p} divides the discriminant")
+
+
 def factor_degrees_mod_p(f: PolyZ, p: int, disc: int) -> list[int]:
     """Sorted multiset of irreducible factor degrees of f mod p, for
     disc = disc(f).
@@ -272,11 +309,72 @@ def factor_degrees_mod_p(f: PolyZ, p: int, disc: int) -> list[int]:
     caller samples another prime). Then f mod p keeps its degree, and it is
     squarefree because its discriminant is disc mod p.
     """
-    if f.lc % p == 0:
-        raise BadReduction(f"p = {p} divides the leading coefficient")
-    if disc % p == 0:
-        raise BadReduction(f"p = {p} divides the discriminant")
+    _check_reduction(f, p, disc)
     return gfpoly.factor_degrees(gfpoly.monic(f.reduce_mod(p), p), p)
+
+
+def factor_degrees_mod_primes(f: PolyZ, primes: list[int], disc: int) -> list[list[int]]:
+    """factor_degrees_mod_p(f, p, disc) for every p in `primes`, in order.
+
+    Primes with n < p and n * p^2 < 2^63 are read together from Frobenius
+    traces (module docstring); the others take `factor_degrees_mod_p`.
+    """
+    n = f.degree
+    batch = [p for p in primes if n < p and n * p * p < 1 << 63]
+    traced = dict(zip(batch, _trace_patterns(f, batch, disc)))
+    return [traced[p] if p in traced else factor_degrees_mod_p(f, p, disc) for p in primes]
+
+
+def _trace_patterns(f: PolyZ, primes: list[int], disc: int) -> list[list[int]]:
+    """Factor degrees of f mod each prime from tr(Q^k) for k <= n/2; needs
+    n < p and n * p^2 < 2^63 for every p."""
+    for p in primes:
+        _check_reduction(f, p, disc)
+    if not primes:
+        return []
+    n, half = f.degree, f.degree // 2
+    out = []
+    for traces in _frobenius_traces(f, primes, half).tolist():
+        # N_k = (tr(Q^k) - sum of d * N_d over the proper divisors d of k) / k
+        count = [0] * (half + 1)
+        degs = []
+        for k in range(1, half + 1):
+            count[k] = (traces[k - 1] - sum(d * count[d] for d in range(1, k) if k % d == 0)) // k
+            degs += [k] * count[k]
+        if sum(degs) < n:
+            degs.append(n - sum(degs))
+        out.append(degs)
+    return out
+
+
+def _frobenius_traces(f: PolyZ, primes: list[int], upto: int) -> np.ndarray:
+    """tr(Q^k) mod p for k = 1..upto, one row per prime, with every prime
+    stacked into one (P, n, n) int64 array; exact while n * p^2 < 2^63."""
+    n = f.degree
+    ps = np.array(primes, dtype=np.int64)
+    mod = ps[:, None, None]
+    # companion matrix of monic f mod p: row i is x^(i+1) mod f
+    companion = np.zeros((len(primes), n, n), dtype=np.int64)
+    companion[:, np.arange(n - 1), np.arange(1, n)] = 1
+    companion[:, n - 1] = [[-c * pow(f.lc, -1, p) % p for c in f.coeffs[:-1]] for p in primes]
+    # F = C^p, multiplication by x^p mod f, by square-and-multiply on each p's bits
+    frob = np.broadcast_to(np.eye(n, dtype=np.int64), companion.shape).copy()
+    for bit in range(max(primes).bit_length() - 1, -1, -1):
+        frob = frob @ frob % mod
+        odd = (ps >> bit & 1).astype(bool)
+        frob[odd] = frob[odd] @ companion[odd] % mod[odd]
+    # Q: row i is x^(i*p) mod f = e_0 F^i
+    rows = [np.eye(1, n, dtype=np.int64).repeat(len(primes), axis=0)[:, None]]
+    for _ in range(n - 1):
+        rows.append(rows[-1] @ frob % mod)
+    q = np.concatenate(rows, axis=1)
+    traces = np.zeros((len(primes), upto), dtype=np.int64)
+    power = q
+    for k in range(upto):
+        if k:
+            power = power @ q % mod
+        traces[:, k] = np.trace(power, axis1=1, axis2=2) % ps
+    return traces
 
 
 def sample_primes(f: PolyZ, disc: int, budget: int) -> list[int]:
@@ -348,8 +446,8 @@ def classify_galois(f: PolyZ, prime_budget: int = 40) -> GaloisEvidence:
 
     witness = None
     patterns: dict[tuple[int, ...], int] = {}
-    for p in primes:
-        degs = tuple(factor_degrees_mod_p(f, p, disc))
+    for p, degs in zip(primes, factor_degrees_mod_primes(f, primes, disc)):
+        degs = tuple(degs)
         if degs not in patterns:
             patterns[degs] = p
         if witness is None and degs == (n,):
@@ -433,8 +531,10 @@ def verify_evidence(ev: GaloisEvidence) -> bool:
     """Re-derive every ingredient of the evidence from scratch.
 
     Re-factors the irreducibility witness, recomputes the discriminant by
-    both the fraction-free and the modular route, replays the sampling and
-    the conclusion, and compares field by field.
+    both the fraction-free and the modular route, re-derives each recorded
+    pattern at its first prime by the gcd route of `factor_degrees_mod_p`
+    (independent of the trace batch), replays the sampling and the
+    conclusion, and compares field by field.
     """
     f = ev.poly
     if ev.irreducible_witness is not None:
@@ -447,6 +547,9 @@ def verify_evidence(ev: GaloisEvidence) -> bool:
         return False
     if is_perfect_square(d1) != ev.disc_is_square:
         return False
+    for pattern, p in ev.cycle_types:
+        if tuple(factor_degrees_mod_p(f, p, d1)) != pattern:
+            return False
     fresh = classify_galois(f, ev.budget)
     return (
         fresh.conclusion == ev.conclusion

@@ -297,6 +297,14 @@ def test_poly_degree_limit(command, capsys):
     assert err == "error: degree 99999999 is above the limit MAX_POLY_DEGREE = 50\n"
 
 
+@pytest.mark.parametrize("command", [["probe"], ["analyze", "--p", "7"]],
+                         ids=["probe", "analyze"])
+def test_poly_coefficient_limit(command, capsys):
+    code, out, err = run_cli([*command, "--poly", "x^5 - x - 18446744073709551616"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: a coefficient of 65 bits is above the limit MAX_COEFF_BITS = 64\n"
+
+
 def test_seed_env_override(monkeypatch, capsys):
     monkeypatch.setenv("HEARTPROOF_SEED", "5")
     code, out, _ = run_cli(["analyze", "--group", "A", "--n", "5", "--p", "11"], capsys)

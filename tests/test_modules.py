@@ -154,6 +154,13 @@ def test_commutant_rejects_reducible_and_foreign_results():
     # not give back the stored basis
     with pytest.raises(ValueError, match="does not match"):
         commutant_dim(heart(symmetric_group(11), 5), s)
+    # a certificate with e = 1 is replayed too: the S11 heart's at p = 5 on a
+    # module of the same dimension whose two generators are the identity
+    line = is_irreducible(heart(symmetric_group(11), 5))
+    assert len(line.null_space) == 1
+    identities = modules.GModule(cyclic5(), 5, 10, [linalg.identity(10)] * 2)
+    with pytest.raises(ValueError, match="does not match"):
+        commutant_dim(identities, line)
 
 
 def test_commutant_reads_the_certificate(monkeypatch):
@@ -178,9 +185,8 @@ def test_commutant_reads_the_certificate(monkeypatch):
     assert commutant_dim(h, wide) == 1
     # one inverse of the standard basis, then a rank with one column per w in N
     assert shapes == [(10, 20), (2 * 10 * 10, 5)]
-    # e = 1: the stored nullity answers, with no matrix touched
-    untouched = modules.GModule(line_heart.group, 11, 7, [None] * len(line_heart.gen_matrices))
-    assert commutant_dim(untouched, line) == 1 and len(shapes) == 2
+    # e = 1: after the replay of N[0] the stored nullity answers, with no rank
+    assert commutant_dim(line_heart, line) == 1 and len(shapes) == 2
 
 
 def test_meataxe_seed_determinism():

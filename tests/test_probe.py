@@ -182,3 +182,118 @@ def test_composite_degree_needs_primitivity_certificate():
     assert any("primitive" in reason for reason in ev.reasons)
     assert (1, 5) in [pat for pat, _ in ev.cycle_types]
     assert verify_evidence(ev)
+
+
+# primes of both kinds for the trace route (p <= n, n < p) up to degree 30,
+# and one where n * p^2 >= 2^63 for every n >= 2
+ORACLE_PRIMES = [2, 3, 5, 7, 13, 31, 101, 211, 2147483659]
+
+
+def test_batched_patterns_against_the_gcd_route_and_sympy():
+    st = pytest.importorskip("hypothesis.strategies")
+    pytest.importorskip("sympy")
+    from hypothesis import assume, given, settings
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+
+    @st.composite
+    def poly_and_primes(draw):
+        """Squarefree f of degree 2 to 30 and the oracle primes of good
+        reduction, at least one each with p <= n and n < p. Half the draws
+        take uniform coefficients: shrunk lists are mostly zeros."""
+        n = draw(st.integers(2, 30))
+        uniform = st.randoms(use_true_random=False).map(
+            lambda r: [r.randint(-20, 20) for _ in range(n)])
+        low = draw(st.one_of(st.lists(st.integers(-20, 20), min_size=n, max_size=n), uniform))
+        f = PolyZ(tuple(low) + (draw(st.sampled_from([-3, -2, -1, 1, 2, 3, 7])),))
+        disc = discriminant(f)
+        assume(disc != 0)
+        primes = [p for p in ORACLE_PRIMES if f.lc % p and disc % p]
+        assume(any(p <= n for p in primes) and any(n < p < 2**31 for p in primes))
+        return f, disc, primes
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(poly_and_primes())
+    def check(case):
+        f, disc, primes = case
+        batched = probe.factor_degrees_mod_primes(f, primes, disc)
+        assert batched == [factor_degrees_mod_p(f, p, disc) for p in primes]
+        # the gcd route at 2^31 + 11 is checked against sympy in the gfpoly oracle
+        for p, degs in zip(primes, batched):
+            if p < 2**31:
+                _, factors = gf_factor_sqf([c % p for c in reversed(f.coeffs)], p, ZZ)
+                assert degs == sorted(len(g) - 1 for g in factors), p
+
+    check()
+
+
+def _roots_in_extension(coeffs, field):
+    """Number of roots in `field` of the integer polynomial, by Horner."""
+    count = 0
+    for x in field.elements():
+        value = 0
+        for c in reversed(coeffs):
+            value = field.add(field.mul(value, x), c % field.ell)
+        count += value == 0
+    return count
+
+
+def test_frobenius_traces_count_roots_in_extension_fields():
+    from heartproof.fields import ExtField
+
+    # (x - 1)(x - 2)(x^2 - 2)(x^3 - 2): at p = 13, 2 is neither a square nor
+    # a cube, so the factors are irreducible of degrees 1, 1, 2, 3, and
+    # tr(Q^k) is the sum of the degrees dividing k; p = 17 is a second
+    # prime in the same batch
+    f = _product([-1, 1], [-2, 1], [-2, 0, 1], [-2, 0, 0, 1])
+    traces = probe._frobenius_traces(f, [13, 17], 3).tolist()
+    assert traces[0] == [2, 1 + 1 + 2, 1 + 1 + 3]
+    for p, row in zip([13, 17], traces):
+        assert row == [_roots_in_extension(f.coeffs, ExtField(p, k)) for k in (1, 2, 3)]
+    disc = discriminant(f)
+    assert probe.factor_degrees_mod_primes(f, [13], disc) == [[1, 1, 2, 3]]
+
+
+def test_primes_past_the_int64_bound_take_the_gcd_route(monkeypatch):
+    # n * p^2 < 2^63 keeps every batched product exact: at n = 2 the prime
+    # 2^31 - 1 is the last below the bound and 2^31 + 11 lies past it
+    f = parse_poly("x^2 - 3")
+    disc = discriminant(f)
+    primes = [5, 2147483647, 2147483659]
+    assert [f.degree * p * p < 2**63 for p in primes] == [True, True, False]
+    gcd_route = []
+
+    def recorded(f, p, disc):
+        gcd_route.append(p)
+        return factor_degrees_mod_p(f, p, disc)
+
+    monkeypatch.setattr(probe, "factor_degrees_mod_p", recorded)
+    batched = probe.factor_degrees_mod_primes(f, primes, disc)
+    assert gcd_route == [2147483659]
+    assert batched == [factor_degrees_mod_p(f, p, disc) for p in primes]
+    # 3 is a square mod p exactly when p = +-1 mod 12
+    assert batched == [[2] if p % 12 in (5, 7) else [1, 1] for p in primes]
+    # p <= n takes the gcd route as well
+    gcd_route.clear()
+    cubic = parse_poly("x^3 - x - 1")
+    assert probe.factor_degrees_mod_primes(cubic, [3, 5], discriminant(cubic)) == [[3], [1, 2]]
+    assert gcd_route == [3]
+
+
+def test_verify_evidence_rederives_patterns_by_the_gcd_route(monkeypatch):
+    f = parse_poly("x^5 - x - 1")
+    ev = classify_galois(f, 40)
+    assert verify_evidence(ev)
+    # a trace batch that reads every prime as totally split misleads the
+    # replay of classify_galois, but not the gcd route at the first primes
+    monkeypatch.setattr(probe, "_trace_patterns", lambda f, primes, disc: [[1] * 5 for _ in primes])
+    assert not verify_evidence(classify_galois(f, 40))
+
+
+def test_coefficient_limit():
+    limit = 2**probe.MAX_COEFF_BITS
+    assert parse_poly(f"x^2 - {limit - 1}").coeffs == (1 - limit, 0, 1)
+    for text in [f"x^2 + {limit}", f"[{limit}, 0, 1]", f"x^2 + {limit - 1} + 1"]:
+        with pytest.raises(ValueError, match=r"^a coefficient of 65 bits is above the limit "
+                                             r"MAX_COEFF_BITS = 64$"):
+            parse_poly(text)
