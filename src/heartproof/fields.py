@@ -8,8 +8,6 @@ encoding doubles as a deterministic total order on field elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import gfpoly
 
 
@@ -59,14 +57,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def field_inv(a: int, p: int) -> int:
-    """Inverse of a modulo the prime p; raises ZeroInverse on a = 0."""
-    a %= p
-    if a == 0:
-        raise ZeroInverse(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} for odd prime p."""
     a %= p
@@ -107,23 +97,6 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field F_p for an odd prime p."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise NotPrime(f"modulus {self.p} is not an odd prime")
-
-    def inv(self, a: int) -> int:
-        return field_inv(a, self.p)
-
-    def sqrt(self, a: int) -> int | None:
-        return sqrt_mod_p(a, self.p)
 
 
 def lowest_irreducible(ell: int, r: int) -> list[int]:

@@ -235,9 +235,6 @@ class StabilizerChain:
             n *= len(lv.transversal)
         return n
 
-    def base(self) -> list[int]:
-        return [lv.base for lv in self.levels]
-
     def contains(self, g: Perm) -> bool:
         if len(g) != self.degree:
             return False

@@ -2,8 +2,7 @@
 
 All matrices carry canonical entries in [0, p). A product of two d x d
 matrices accumulates d terms below p^2, so the arithmetic is exact when
-d * p^2 < 2^63; `modules.heart` and `modules.permutation_module` refuse
-larger p.
+d * p^2 < 2^63; `modules.heart` refuses larger p.
 """
 
 from __future__ import annotations
@@ -29,17 +28,6 @@ def zeros(r: int, c: int) -> np.ndarray:
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
-
-
-def mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    result = identity(a.shape[0])
-    base = a % p
-    while e:
-        if e & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
-        e >>= 1
-    return result
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -85,19 +73,6 @@ def kernel_basis(m: np.ndarray, p: int) -> list[np.ndarray]:
     return basis
 
 
-def solve(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution of m x = b, or None if the system is inconsistent."""
-    aug = np.concatenate([m % p, (b % p).reshape(-1, 1)], axis=1)
-    red, pivots = rref(aug, p)
-    cols = m.shape[1]
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, cols]
-    return x
-
-
 def mat_inv(m: np.ndarray, p: int) -> np.ndarray:
     n = m.shape[0]
     aug = np.concatenate([m % p, identity(n)], axis=1)
@@ -105,10 +80,6 @@ def mat_inv(m: np.ndarray, p: int) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular mod %d" % p)
     return red[:, n:]
-
-
-def is_invertible(m: np.ndarray, p: int) -> bool:
-    return m.shape[0] == m.shape[1] and rank(m, p) == m.shape[0]
 
 
 def charpoly(m: np.ndarray, p: int) -> list[int]:

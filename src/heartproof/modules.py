@@ -21,15 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gfpoly, linalg, perm
+from . import gfpoly, linalg
 from .fields import is_prime, sqrt_mod_p
 from .groups import PermGroup, subgroup_classes, coset_action
 from .linalg import identity, kernel_basis, mat_mul
 from .perm import Perm
-
-
-class GroupMismatch(ValueError):
-    """Raised when combining modules over different groups or primes."""
 
 
 class RandomnessExhausted(RuntimeError):
@@ -58,56 +54,11 @@ class GModule:
     gen_matrices: list[np.ndarray]
     label: str = ""
 
-    def word_matrix(self, word: list[int]) -> np.ndarray:
-        out = identity(self.dim)
-        for i in word:
-            out = mat_mul(out, self.gen_matrices[i], self.p)
-        return out
-
-    def word_perm(self, word: list[int]) -> Perm:
-        g = perm.identity(self.group.degree)
-        for i in word:
-            g = perm.mult(g, self.group.generators[i])
-        return g
-
-    def validate(self, words: int = 20, seed: int = 0) -> bool:
-        """Check the type invariants: invertible matrices and, when the
-        group is available, agreement of sampled word relations."""
-        for m in self.gen_matrices:
-            if not linalg.is_invertible(m, self.p):
-                return False
-        if self.group is None or not self.gen_matrices:
-            return True
-        rng = random.Random(seed)
-        ngens = len(self.gen_matrices)
-        for _ in range(words):
-            w = [rng.randrange(ngens) for _ in range(rng.randrange(1, 6))]
-            left = self.word_matrix(w + w)
-            right = mat_mul(self.word_matrix(w), self.word_matrix(w), self.p)
-            if not np.array_equal(left, right):
-                return False
-        return True
-
 
 @dataclass
 class HeartModule(GModule):
     n: int = 0
     kind: str = "hyperplane"  # or "quotient" when p | n
-
-
-def permutation_matrix(g: Perm, p: int) -> np.ndarray:
-    n = len(g)
-    m = linalg.zeros(n, n)
-    for i, j in enumerate(g):
-        m[i, j] = 1 % p
-    return m
-
-
-def permutation_module(g: PermGroup, p: int) -> GModule:
-    """The natural module F_p^B; the trace of any element counts its fixed points."""
-    _require_odd_prime(p, g.degree)
-    mats = [permutation_matrix(x, p) for x in g.generators] or []
-    return GModule(g, p, g.degree, mats, label=f"perm(dim {g.degree})")
 
 
 def heart_matrix(g: Perm, p: int) -> np.ndarray:
@@ -285,67 +236,6 @@ def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
     return e - linalg.rank(brackets.T % p, p)
 
 
-def is_absolutely_irreducible(module: GModule, seed: int = 0) -> bool:
-    result = is_irreducible(module, seed=seed)
-    return result.irreducible and commutant_dim(module, result) == 1
-
-
-def tensor(m1: GModule, m2: GModule) -> GModule:
-    """Tensor product over F_p: Kronecker products generator by generator."""
-    if m1.p != m2.p:
-        raise GroupMismatch("tensor factors live over different primes")
-    g1, g2 = m1.group, m2.group
-    same = g1 is g2 or (g1 is not None and g2 is not None and g1.generators == g2.generators)
-    if not same:
-        raise GroupMismatch("tensor factors are modules over different groups")
-    mats = [np.kron(a, b) % m1.p for a, b in zip(m1.gen_matrices, m2.gen_matrices)]
-    return GModule(g1, m1.p, m1.dim * m2.dim, mats, label=f"{m1.label}(x){m2.label}")
-
-
-def hom_space(m1: GModule, m2: GModule) -> list[np.ndarray]:
-    """Basis of {X : M1(g) X = X M2(g) for all g}, i.e. of Hom_G(m1, m2)."""
-    p = m1.p
-    d1, d2 = m1.dim, m2.dim
-    if not m1.gen_matrices:
-        return [e.reshape(d1, d2) for e in np.eye(d1 * d2, dtype=np.int64)]
-    blocks = []
-    for a, b in zip(m1.gen_matrices, m2.gen_matrices):
-        blocks.append(np.kron(a, identity(d2)) - np.kron(identity(d1), b.T))
-    big = np.vstack(blocks) % p
-    return [v.reshape(d1, d2) for v in kernel_basis(big, p)]
-
-
-def module_iso(m1: GModule, m2: GModule, seed: int = 0, budget: int = 200) -> np.ndarray | None:
-    """An invertible X with M1(g) X = X M2(g) for all g, or None.
-
-    Quick rejection by word traces (sampled, seeded), then a search of the
-    intertwiner space: single basis elements first, then random combinations.
-    """
-    if m1.p != m2.p or m1.dim != m2.dim:
-        return None
-    if len(m1.gen_matrices) != len(m2.gen_matrices):
-        return None
-    p = m1.p
-    rng = random.Random(seed)
-    ngens = len(m1.gen_matrices)
-    for _ in range(30):
-        word = [rng.randrange(ngens) for _ in range(rng.randrange(1, 6))] if ngens else []
-        if int(np.trace(m1.word_matrix(word)) % p) != int(np.trace(m2.word_matrix(word)) % p):
-            return None
-    basis = hom_space(m1, m2)
-    if not basis:
-        return None
-    for x in basis:
-        if linalg.is_invertible(x, p):
-            return x
-    for _ in range(budget):
-        coeffs = [rng.randrange(p) for _ in basis]
-        x = sum(c * b for c, b in zip(coeffs, basis)) % p
-        if linalg.is_invertible(x, p):
-            return x
-    return None
-
-
 def dumps(module: GModule) -> str:
     """Text dump: header 'p dim ngens', then matrices row-major in decimal."""
     lines = [f"{module.p} {module.dim} {len(module.gen_matrices)}"]
@@ -353,18 +243,6 @@ def dumps(module: GModule) -> str:
         for row in m:
             lines.append(" ".join(str(int(x)) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> GModule:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    p, dim, ngens = (int(t) for t in lines[0].split())
-    mats = []
-    pos = 1
-    for _ in range(ngens):
-        rows = [[int(t) for t in lines[pos + i].split()] for i in range(dim)]
-        mats.append(linalg.asmat(rows, p))
-        pos += dim
-    return GModule(None, p, dim, mats)
 
 
 # ---------------------------------------------------------------------------

@@ -173,11 +173,6 @@ def _check_coeff_bits(coeffs: list[int]) -> None:
                          f"{MAX_COEFF_BITS}")
 
 
-def is_squarefree(f: PolyZ) -> bool:
-    """f has no repeated root over Q, which holds exactly when disc(f) != 0."""
-    return discriminant(f) != 0
-
-
 def _bareiss_det(m: list[list[int]]) -> int:
     """Fraction-free determinant of an integer matrix."""
     n = len(m)
@@ -217,61 +212,6 @@ def resultant(f: PolyZ, g: PolyZ) -> int:
     return _bareiss_det(_sylvester(f, g))
 
 
-def _det_mod_p(rows: list[list[int]], p: int) -> int:
-    n = len(rows)
-    m = [[c % p for c in row] for row in rows]
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det % p
-        det = det * m[k][k] % p
-        inv = pow(m[k][k], -1, p)
-        for i in range(k + 1, n):
-            if m[i][k]:
-                t = m[i][k] * inv % p
-                m[i] = [(a - t * b) % p for a, b in zip(m[i], m[k])]
-    return det % p
-
-
-def resultant_crt(f: PolyZ, g: PolyZ) -> int:
-    """The same resultant reconstructed from modular images.
-
-    Primes avoid the leading coefficients; the Hadamard bound on the
-    Sylvester determinant caps the reconstruction. Serves as an independent
-    cross-check of the fraction-free computation.
-    """
-    syl = _sylvester(f, g)
-    bound = 1
-    for row in syl:
-        s = sum(c * c for c in row)
-        bound *= isqrt(s) + 1
-    target = 2 * bound + 1
-    residue, modulus = 0, 1
-    p = 10**6
-    while modulus < target:
-        p = _next_prime(p + 1)
-        if f.lc % p == 0 or g.lc % p == 0:
-            continue
-        rp = _det_mod_p(syl, p)
-        # CRT combine
-        inv = pow(modulus % p, -1, p)
-        residue = residue + modulus * ((rp - residue) % p * inv % p)
-        modulus *= p
-    if residue > modulus // 2:
-        residue -= modulus
-    return residue
-
-
-def _next_prime(n: int) -> int:
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def discriminant(f: PolyZ) -> int:
     n = f.degree
     if n < 1:
@@ -281,13 +221,6 @@ def discriminant(f: PolyZ) -> int:
     num = sign * res
     assert num % f.lc == 0
     return num // f.lc
-
-
-def discriminant_crt(f: PolyZ) -> int:
-    n = f.degree
-    res = resultant_crt(f, f.derivative())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res // f.lc
 
 
 def is_perfect_square(n: int) -> bool:
@@ -380,11 +313,11 @@ def _frobenius_traces(f: PolyZ, primes: list[int], upto: int) -> np.ndarray:
 def sample_primes(f: PolyZ, disc: int, budget: int) -> list[int]:
     """First `budget` primes >= 3 dividing neither lc(f) nor disc = disc(f)."""
     out = []
-    p = 2
+    p = 3
     while len(out) < budget:
-        p = _next_prime(p + 1)
-        if f.lc % p != 0 and disc % p != 0:
+        if is_prime(p) and f.lc % p != 0 and disc % p != 0:
             out.append(p)
+        p += 2
     return out
 
 
@@ -524,36 +457,4 @@ def classify_galois(f: PolyZ, prime_budget: int = 40) -> GaloisEvidence:
         conclusion=conclusion,
         conclusion_tag=tag,
         reasons=tuple(reasons),
-    )
-
-
-def verify_evidence(ev: GaloisEvidence) -> bool:
-    """Re-derive every ingredient of the evidence from scratch.
-
-    Re-factors the irreducibility witness, recomputes the discriminant by
-    both the fraction-free and the modular route, re-derives each recorded
-    pattern at its first prime by the gcd route of `factor_degrees_mod_p`
-    (independent of the trace batch), replays the sampling and the
-    conclusion, and compares field by field.
-    """
-    f = ev.poly
-    if ev.irreducible_witness is not None:
-        fp = gfpoly.monic(f.reduce_mod(ev.irreducible_witness), ev.irreducible_witness)
-        if not gfpoly.is_irreducible(fp, ev.irreducible_witness):
-            return False
-    d1 = discriminant(f)
-    d2 = discriminant_crt(f)
-    if d1 != d2 or d1 != ev.disc:
-        return False
-    if is_perfect_square(d1) != ev.disc_is_square:
-        return False
-    for pattern, p in ev.cycle_types:
-        if tuple(factor_degrees_mod_p(f, p, d1)) != pattern:
-            return False
-    fresh = classify_galois(f, ev.budget)
-    return (
-        fresh.conclusion == ev.conclusion
-        and fresh.conclusion_tag == ev.conclusion_tag
-        and fresh.cycle_types == ev.cycle_types
-        and fresh.irreducible_witness == ev.irreducible_witness
     )

@@ -45,12 +45,6 @@ class Level(enum.IntEnum):
     CENTRAL_SIMPLE = 4
     VERY_SIMPLE = 5
 
-    def implies(self, other: "Level") -> bool:
-        """Hierarchy: very simple => central simple => abs. simple => simple."""
-        if self in (Level.UNKNOWN, Level.NOT_SIMPLE):
-            return self == other
-        return Level.SIMPLE <= other <= self
-
 
 @dataclass(frozen=True)
 class EvidenceItem:

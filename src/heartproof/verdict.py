@@ -497,20 +497,6 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
 
 
-def certificate_from_dict(d: dict) -> Certificate:
-    scenario = scenario_from_dict(d["scenario"])
-    checks = [HypothesisCheck(c["anchor"], c["kind"], c["pass"], c["detail"])
-              for c in d["checks"]]
-    conclusion = EndoConclusion(d["conclusion"]["kind"],
-                                tuple(d["conclusion"]["fields"]),
-                                d["conclusion"]["dimension_over_q"])
-    return Certificate(d["theorem"], scenario, checks, conclusion, tuple(d["notes"]))
-
-
-def certificate_from_json(text: str) -> Certificate:
-    return certificate_from_dict(json.loads(text))
-
-
 def explain(cert: Certificate) -> str:
     """Stable human-readable report; every hypothesis anchor appears once."""
     s = cert.scenario

@@ -1,5 +1,5 @@
-"""Closed-form arithmetic: genus, weight multiplicity profiles, cyclotomic
-polynomial factorization, and the cyclotomic-module rank h_E.
+"""Closed-form arithmetic: genus, the heart's dimension and weight
+multiplicity profiles.
 
 Everything here is exact integer arithmetic; no group computation is
 involved. The standing hypothesis is that either p does not divide n or
@@ -22,10 +22,6 @@ class NotApplicable(ValueError):
     """Requested quantity has no closed form in this branch."""
 
 
-class NotDivisible(ValueError):
-    """phi(q) does not divide 2*dim: the cyclotomic rank is not integral."""
-
-
 # the largest exponent r accepted, far above the r <= 2 of every test,
 # fixture and benchmark input: q = p^r then has under 2500 digits for any p
 # that `is_prime` decides (p < 3.3e24), inside Python's 4300-digit limit for
@@ -36,10 +32,6 @@ MAX_R = 100
 # (0.9 MB of text), against q <= 37^2 in every test, fixture and
 # benchmark input
 MAX_PROFILE_Q = 100_000
-
-
-def euler_phi_prime_power(p: int, i: int) -> int:
-    return (p - 1) * p ** (i - 1)
 
 
 @dataclass(frozen=True)
@@ -100,11 +92,6 @@ class WeightProfile:
         return genus(self.params)
 
     @property
-    def dimension(self) -> int:
-        """Sum of the multiplicities: phi(q)(n-1)/2."""
-        return sum(m for _, m in self.mults)
-
-    @property
     def gcd(self) -> int:
         g = 0
         for _, m in self.mults:
@@ -114,10 +101,6 @@ class WeightProfile:
     @property
     def support(self) -> int:
         return sum(1 for _, m in self.mults if m != 0)
-
-    @property
-    def h_E(self) -> int:
-        return h_E(self.dimension, self.params.p, self.params.r)
 
     def table(self) -> str:
         lines = ["i, n_sigma_i"]
@@ -138,69 +121,3 @@ def weight_profile(params: CurveParams) -> WeightProfile:
         (i, params.n * i // q) for i in range(1, q) if i % params.p != 0
     )
     return WeightProfile(params, mults)
-
-
-def csa_constraints(profile: WeightProfile, candidate_d: int) -> bool:
-    """Can a central simple algebra of dimension candidate_d^2 act?
-
-    Requires candidate_d to divide every nonzero multiplicity and
-    candidate_d * support <= genus; used contrapositively to exclude
-    dimensions.
-    """
-    if candidate_d < 1:
-        raise ValueError("candidate_d must be >= 1")
-    for _, m in profile.mults:
-        if m != 0 and m % candidate_d != 0:
-            return False
-    return candidate_d * profile.support <= profile.genus
-
-
-def cyclotomic_poly_prime_power(p: int, i: int) -> list[int]:
-    """Phi_{p^i}(t) = sum_{j<p} t^(j * p^(i-1)), ascending coefficients."""
-    step = p ** (i - 1)
-    out = [0] * ((p - 1) * step + 1)
-    for j in range(p):
-        out[j * step] = 1
-    return out
-
-
-def _poly_mul_z(f: list[int], g: list[int]) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-@dataclass(frozen=True)
-class CyclotomicData:
-    p: int
-    r: int
-    factors: tuple[tuple[int, ...], ...]  # Phi_{p^i} for i = 1..r
-    product: tuple[int, ...]              # their product = (t^q - 1)/(t - 1)
-
-    @property
-    def total_degree(self) -> int:
-        return len(self.product) - 1
-
-
-def cyclotomic_data(p: int, r: int) -> CyclotomicData:
-    """Phi_{p^i} for 1 <= i <= r and their product (t^q - 1)/(t - 1).
-
-    Degrees phi(p^i) sum to q - 1.
-    """
-    factors = [cyclotomic_poly_prime_power(p, i) for i in range(1, r + 1)]
-    prod = [1]
-    for f in factors:
-        prod = _poly_mul_z(prod, f)
-    return CyclotomicData(p, r, tuple(tuple(f) for f in factors), tuple(prod))
-
-
-def h_E(dim_z: int, p: int, r: int) -> int:
-    """2*dim / phi(q): the rank of a cyclotomic module on a dim-dimensional
-    abelian variety; NotDivisible signals the freeness hypothesis fails."""
-    phi = euler_phi_prime_power(p, r)
-    if (2 * dim_z) % phi != 0:
-        raise NotDivisible(f"phi({p}^{r}) = {phi} does not divide 2*{dim_z}")
-    return 2 * dim_z // phi

@@ -98,9 +98,10 @@ def test_analyze_json_roundtrip(tmp_path, capsys):
     assert code == 0
     from heartproof import verdict
 
-    cert = verdict.certificate_from_json(out_path.read_text())
+    text = out_path.read_text()
+    cert = verdict.dispatch(verdict.scenario_from_dict(json.loads(text)["scenario"]))
     assert verdict.explain(cert) == out
-    assert verdict.certificate_to_json(cert) == out_path.read_text()
+    assert verdict.certificate_to_json(cert) == text
 
 
 def test_weights_table(capsys):

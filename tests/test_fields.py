@@ -3,28 +3,27 @@ import random
 import pytest
 
 from heartproof import fields
-from heartproof.fields import ExtField, PrimeField, ZeroInverse, field_inv, sqrt_mod_p
+from heartproof.fields import ExtField, ZeroInverse, sqrt_mod_p
 
 
 def test_field_inv_examples():
-    assert field_inv(3, 7) == 5
-    assert field_inv(1, 13) == 1
-    assert field_inv(4, 11) == 3
+    # F_p is ExtField(p, 1), with the usual representatives
+    assert ExtField(7, 1).inv(3) == 5
+    assert ExtField(13, 1).inv(1) == 1
+    assert ExtField(11, 1).inv(4) == 3
 
 
 def test_field_inv_zero():
     with pytest.raises(ZeroInverse):
-        field_inv(0, 7)
-    with pytest.raises(ZeroInverse):
-        field_inv(14, 7)
+        ExtField(7, 1).inv(0)
 
 
 def test_prime_field_validation():
-    PrimeField(3)
+    assert ExtField(3, 1).q == 3
     with pytest.raises(fields.NotPrime):
-        PrimeField(9)
+        ExtField(9, 1)
     with pytest.raises(fields.NotPrime):
-        PrimeField(2)
+        ExtField(1, 1)
 
 
 def test_sqrt_examples():

@@ -13,7 +13,6 @@ from heartproof.linalg import (
     mat_mul,
     poly_of_matrix,
     rank,
-    solve,
 )
 
 
@@ -47,7 +46,7 @@ def test_inverse_random():
         p = rng.choice([3, 5, 7, 11, 13])
         d = rng.randrange(1, 13)
         m = asmat([[rng.randrange(p) for _ in range(d)] for _ in range(d)], p)
-        if not linalg.is_invertible(m, p):
+        if rank(m, p) < d:
             continue
         inv = mat_inv(m, p)
         assert np.array_equal(mat_mul(m, inv, p), identity(d))
@@ -57,16 +56,6 @@ def test_inverse_random():
 def test_singular_inverse_raises():
     with pytest.raises(linalg.SingularMatrix):
         mat_inv(asmat([[1, 1], [2, 2]], 5), 5)
-
-
-def test_solve():
-    m = asmat([[1, 2], [3, 4]], 7)
-    b = np.array([5, 6])
-    x = solve(m, b, 7)
-    assert np.array_equal((m @ x) % 7, b % 7)
-    # inconsistent system
-    m2 = asmat([[1, 1], [2, 2]], 7)
-    assert solve(m2, np.array([1, 3]), 7) is None
 
 
 def test_charpoly_cayley_hamilton():

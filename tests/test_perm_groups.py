@@ -141,7 +141,7 @@ def test_index_search_lemma_on_intransitive_groups():
     # index of H & G_b in G_b is |G : H| * |b^H| / |Omega|, not |G : H| * |b^H| / n
     for gens in (["(0 1 2)", "(1 2)", "(3 4 5 6)", "(3 5)"], ["(0 1)", "(2 3 4 5 6)"]):
         g = PermGroup([perm.parse_perm(x, 7) for x in gens], degree=7)
-        b = g.chain.base()[0]
+        b = g.chain.levels[0].base
         omega = g.orbit(b)
         stab = g.base_point_stabilizer()
         assert len(omega) < g.degree and stab.order * len(omega) == g.order

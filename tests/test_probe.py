@@ -10,12 +10,12 @@ from heartproof.probe import (
     PolyZ,
     classify_galois,
     discriminant,
-    discriminant_crt,
     factor_degrees_mod_p,
-    is_squarefree,
     parse_poly,
-    verify_evidence,
 )
+
+from crt import discriminant_crt
+from evidence import verify_evidence
 
 
 def test_parse_forms():
@@ -33,12 +33,13 @@ def test_parse_forms():
 
 
 def test_squarefree():
-    assert not is_squarefree(parse_poly("x^2"))
-    assert is_squarefree(parse_poly("x^5 - x - 1"))
+    # f has no repeated root over Q exactly when disc(f) != 0
+    assert discriminant(parse_poly("x^2")) == 0
+    assert discriminant(parse_poly("x^5 - x - 1")) != 0
     # (x-1)^2 (x+2) = x^3 - 3x + 2
-    assert not is_squarefree(parse_poly("x^3 - 3*x + 2"))
+    assert discriminant(parse_poly("x^3 - 3*x + 2")) == 0
     with pytest.raises(ValueError, match=r"^degree must be >= 1$"):
-        is_squarefree(parse_poly("7"))
+        discriminant(parse_poly("7"))
 
 
 def _squarefree_by_euclid(f: PolyZ) -> bool:
@@ -86,7 +87,7 @@ def test_squarefree_against_euclid_over_q():
     @given(st.lists(factor, min_size=1, max_size=3), st.booleans())
     def check(factors, repeat):
         f = _product(*(factors + factors[:1] if repeat else factors))
-        assert is_squarefree(f) == _squarefree_by_euclid(f)
+        assert (discriminant(f) != 0) == _squarefree_by_euclid(f)
 
     check()
 
@@ -172,6 +173,30 @@ def test_degree_multisets_sum_to_n():
     disc = probe.discriminant(f)
     for p in probe.sample_primes(f, disc, 15):
         assert sum(factor_degrees_mod_p(f, p, disc)) == 6
+
+
+def _sieve(limit: int) -> list[int]:
+    """Primes below limit, by the sieve of Eratosthenes."""
+    marks = [True] * limit
+    marks[:2] = [False, False]
+    for i in range(2, int(limit**0.5) + 1):
+        if marks[i]:
+            marks[i * i::i] = [False] * len(marks[i * i::i])
+    return [i for i, m in enumerate(marks) if m]
+
+
+def test_sample_primes_against_a_sieve():
+    # primes dividing the leading coefficient (3 and 5 in the first), the
+    # discriminant (5 and 7, then 19 and 151 of 2869), or both (3 and 5 in
+    # the last)
+    cases = ["15*x^2 + x + 1", "x^2 - 35", "x^5 - x - 1", "15*x^3 - 45*x + 15"]
+    sieved = _sieve(10_000)
+    for text in cases:
+        f = parse_poly(text)
+        disc = discriminant(f)
+        expected = [p for p in sieved if p >= 3 and f.lc % p and disc % p]
+        for budget in (1, 40, 1000):
+            assert probe.sample_primes(f, disc, budget) == expected[:budget], (text, budget)
 
 
 def test_composite_degree_needs_primitivity_certificate():

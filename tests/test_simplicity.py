@@ -95,11 +95,10 @@ def test_decide_custom_paths():
 
 
 def test_hierarchy_monotonicity():
-    assert Level.VERY_SIMPLE.implies(Level.CENTRAL_SIMPLE)
-    assert Level.VERY_SIMPLE.implies(Level.SIMPLE)
-    assert Level.CENTRAL_SIMPLE.implies(Level.ABSOLUTELY_SIMPLE)
-    assert not Level.ABSOLUTELY_SIMPLE.implies(Level.CENTRAL_SIMPLE)
-    assert not Level.NOT_SIMPLE.implies(Level.SIMPLE)
+    # very simple => central simple => absolutely simple => simple, in the
+    # order of the levels; UNKNOWN and NOT_SIMPLE lie below them all
+    assert (Level.UNKNOWN < Level.NOT_SIMPLE < Level.SIMPLE < Level.ABSOLUTELY_SIMPLE
+            < Level.CENTRAL_SIMPLE < Level.VERY_SIMPLE)
 
 
 def test_shortcut_agrees_with_computation():

@@ -6,14 +6,11 @@ from heartproof.weights import (
     CurveParams,
     HypothesisViolated,
     NotApplicable,
-    NotDivisible,
-    csa_constraints,
-    cyclotomic_data,
-    euler_phi_prime_power,
     genus,
-    h_E,
     weight_profile,
 )
+
+from cyclotomic import cyclotomic_poly_prime_power, poly_product
 
 
 def test_genus_examples():
@@ -38,7 +35,7 @@ def test_standing_hypothesis():
 def test_profile_examples():
     w = weight_profile(CurveParams(5, 7, 1))
     assert [m for _, m in w.mults] == [0, 1, 2, 2, 3, 4]
-    assert w.gcd == 1 and w.support == 5 and w.genus == 12 and w.h_E == 4
+    assert w.gcd == 1 and w.support == 5 and w.genus == 12
 
     w = weight_profile(CurveParams(11, 5, 1))
     assert [m for _, m in w.mults] == [2, 4, 6, 8]
@@ -61,23 +58,6 @@ def test_profile_not_applicable():
         weight_profile(CurveParams(7, 7, 1))
 
 
-def test_csa_constraints():
-    w5 = weight_profile(CurveParams(5, 7, 1))
-    assert csa_constraints(w5, 1)
-    assert not csa_constraints(w5, 2)  # multiplicity 1 present
-    w11 = weight_profile(CurveParams(11, 5, 1))
-    assert csa_constraints(w11, 2)  # all even, 2 * 4 <= 20
-    with pytest.raises(ValueError):
-        csa_constraints(w5, 0)
-
-
-def test_h_E():
-    assert h_E(12, 7, 1) == 4
-    assert h_E(4, 3, 1) == 4
-    with pytest.raises(NotDivisible):
-        h_E(5, 7, 1)
-
-
 def test_h_E_vs_heart_dim_algebra():
     # 2 * genus / (p - 1) = n - 1 whenever p does not divide n, r = 1
     for n in range(5, 40):
@@ -91,21 +71,17 @@ def test_dimension_sum_identity():
     # sum of multiplicities = phi(q)(n-1)/2; equals the curve genus iff r = 1
     for n, p, r in [(5, 3, 2), (7, 3, 2), (8, 3, 3), (11, 5, 2)]:
         w = weight_profile(CurveParams(n, p, r))
-        assert w.dimension == euler_phi_prime_power(p, r) * (n - 1) // 2
-        assert w.h_E == n - 1
+        # phi(q) = (p - 1) p^(r-1), so the cyclotomic rank 2 * dimension / phi(q) is n - 1
+        assert sum(m for _, m in w.mults) == (p - 1) * p ** (r - 1) * (n - 1) // 2
     w = weight_profile(CurveParams(5, 3, 2))
-    assert w.dimension == 12 and w.genus == 16  # they differ for r >= 2
+    assert sum(m for _, m in w.mults) == 12 and w.genus == 16  # they differ for r >= 2
 
 
 def test_cyclotomic_data():
-    cd = cyclotomic_data(3, 1)
-    assert list(cd.factors[0]) == [1, 1, 1]
-    assert cd.total_degree == 2
-    cd = cyclotomic_data(3, 2)
-    assert list(cd.factors[1]) == [1, 0, 0, 1, 0, 0, 1]
-    assert list(cd.product) == [1] * 9
-    cd = cyclotomic_data(5, 1)
-    assert len(cd.factors[0]) - 1 == 4 == euler_phi_prime_power(5, 1)
+    assert cyclotomic_poly_prime_power(3, 1) == [1, 1, 1]
+    assert cyclotomic_poly_prime_power(3, 2) == [1, 0, 0, 1, 0, 0, 1]
+    assert poly_product([cyclotomic_poly_prime_power(3, i) for i in (1, 2)]) == [1] * 9
+    assert len(cyclotomic_poly_prime_power(5, 1)) - 1 == 4
 
 
 def test_profile_table_format():
