@@ -15,6 +15,7 @@ from heartproof.probe import (
 )
 
 from crt import discriminant_crt
+from cyclotomic import poly_product
 from evidence import verify_evidence
 
 
@@ -64,14 +65,7 @@ def _squarefree_by_euclid(f: PolyZ) -> bool:
 
 
 def _product(*polys):
-    out = [1]
-    for g in polys:
-        prod = [0] * (len(out) + len(g) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(g):
-                prod[i + j] += a * b
-        out = prod
-    return PolyZ(tuple(out))
+    return PolyZ(tuple(poly_product(polys)))
 
 
 def test_squarefree_against_euclid_over_q():
