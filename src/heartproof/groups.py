@@ -262,6 +262,7 @@ class PermGroup:
         self.order = self.chain.order()
         self._elements: tuple[Perm, ...] | None = None
         self._stabilizer: PermGroup | None = None
+        self._doubly_transitive: bool | None = None
         # subgroup index d -> generators of a witness, or None if there is none
         self._index_witnesses: dict[int, tuple[Perm, ...] | None] = {}
 
@@ -306,21 +307,22 @@ class PermGroup:
         return self.degree >= 1 and len(self.orbit(0)) == self.degree
 
     def is_doubly_transitive(self) -> bool:
-        """Orbit count on ordered pairs of distinct points equals 1."""
-        n = self.degree
-        if n < 2:
-            return False
-        start = (0, 1)
-        seen = {start}
-        queue = [start]
-        while queue:
-            a, b = queue.pop(0)
-            for g in self.generators:
-                pair = (g[a], g[b])
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
-        return len(seen) == n * (n - 1)
+        """Orbit count on ordered pairs of distinct points equals 1; the
+        answer is kept on the group."""
+        if self._doubly_transitive is None:
+            n = self.degree
+            start = (0, 1)
+            seen = {start}
+            queue = [start] if n >= 2 else []
+            while queue:
+                a, b = queue.pop(0)
+                for g in self.generators:
+                    pair = (g[a], g[b])
+                    if pair not in seen:
+                        seen.add(pair)
+                        queue.append(pair)
+            self._doubly_transitive = n >= 2 and len(seen) == n * (n - 1)
+        return self._doubly_transitive
 
 
 def _closure(gens, degree: int) -> set[Perm]:

@@ -11,13 +11,27 @@ algebra element with an irreducible charpoly factor of minimal nullity,
 combined with spin-up in the module and its dual (Norton's criterion).
 The commutant of an irreducible module is then read from that certificate,
 which keeps the null space and the standard basis the MeatAxe spun.
+
+Both are memoised per process, by the module's exact content: p, the
+dimension and the dtype, shape and bytes of each generator matrix, compared
+in full, so a hash collision cannot hand out another module's verdict. The
+first attempts take the generator matrices themselves and draw nothing from
+the seed: the monic irreducible factors of a charpoly are unique and are
+tried in one fixed order, whichever seed split them. So their outcome is
+kept once for every seed; a module they leave undecided keeps its
+random-element result per (seed, budget). The commutant dimension is kept
+for each result the memo handed out, and any other result is replayed in
+full. At most `MEMO_BYTES` are kept, oldest entry first. A result is
+frozen, and the arrays of one the memo hands out are read-only, since every
+later caller shares them.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,20 +146,86 @@ def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
     return np.array(rows), recipe
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IrreducibilityResult:
     """A MeatAxe verdict: echelonized rows of an invariant subspace if
     reducible; if irreducible of dimension > 1, the certificate: the element
     A drawn at `attempt` has the charpoly factor f = `factor` of nullity deg f,
-    N = `null_space` is the row null space of f(A), (`basis`, `recipe`) = spin(N[0])."""
+    N = `null_space` is the row null space of f(A), (`basis`, `recipe`) = spin(N[0]).
+    Results compare and hash by identity."""
 
     irreducible: bool
     invariant_subspace: np.ndarray | None = None
     attempt: int | None = None
-    factor: list[int] | None = None
+    factor: tuple[int, ...] | None = None
     null_space: np.ndarray | None = None
     basis: np.ndarray | None = None
-    recipe: list[tuple[int, int]] | None = None
+    recipe: tuple[tuple[int, int], ...] | None = None
+
+
+# Bytes the MeatAxe memo keeps at most: about 170 hearts of dimension 20 on
+# two generators fit, and no run of new modules grows the process past it.
+MEMO_BYTES = 2 * 2**20
+# Python objects around each result kept (result, tuples, array headers, dict
+# slots), measured with tracemalloc; the matrices and arrays are counted exactly.
+_OBJECT_BYTES = 1536
+
+
+@dataclass
+class _Found:
+    """What the MeatAxe found for one module content.
+
+    `verdict` is the result of generator attempt `decided_at`, both None when
+    no generator attempt decided; `random` holds the random-element results
+    by (seed, budget); `commutant` maps every result handed out to its
+    commutant dimension, None until computed.
+    """
+
+    decided_at: int | None = None
+    verdict: IrreducibilityResult | None = None
+    random: dict[tuple[int, int], IrreducibilityResult] = field(default_factory=dict)
+    commutant: dict[IrreducibilityResult, int | None] = field(default_factory=dict)
+    nbytes: int = 0
+
+
+class _Memo:
+    """Module content -> `_Found`, at most `MEMO_BYTES` of it, oldest dropped
+    first. Not locked: heartproof calls the MeatAxe from one thread."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, _Found] = OrderedDict()
+        self.nbytes = 0
+
+    def add(self, key: tuple, found: _Found, result: IrreducibilityResult | None,
+            nbytes: int = 0) -> None:
+        """Keep `found` under `key`, now holding `result` and `nbytes` more."""
+        nbytes += _OBJECT_BYTES
+        if result is not None:
+            found.commutant[result] = None
+            arrays = [x for x in (result.invariant_subspace, result.null_space, result.basis)
+                      if x is not None]
+            for x in arrays:
+                x.flags.writeable = False
+            # a recipe step is a tuple of two small ints: 64 bytes
+            nbytes += sum(x.nbytes for x in arrays) + 64 * len(result.recipe or ())
+        if key not in self.entries:  # new, or evicted while it grew
+            self.entries[key] = found
+            self.nbytes += found.nbytes
+        found.nbytes += nbytes
+        self.nbytes += nbytes
+        while self.nbytes > MEMO_BYTES:
+            _, old = self.entries.popitem(last=False)
+            self.nbytes -= old.nbytes
+
+
+_MEMO = _Memo()
+
+
+def _content(module: GModule) -> tuple:
+    """The memo key: p, the dimension and each generator matrix's dtype,
+    shape and bytes, which the dict compares in full."""
+    return module.p, module.dim, tuple((m.dtype.str, m.shape, m.tobytes())
+                                       for m in module.gen_matrices)
 
 
 def _random_algebra_element(mats: list[np.ndarray], p: int, rng: random.Random) -> np.ndarray:
@@ -159,13 +239,40 @@ def _random_algebra_element(mats: list[np.ndarray], p: int, rng: random.Random) 
     return a
 
 
+def _attempt(a: np.ndarray, attempt: int, mats: list[np.ndarray], p: int,
+             seed: int) -> IrreducibilityResult | None:
+    """One MeatAxe attempt on the algebra element a: a verdict, or None."""
+    dim = len(a)
+    cp = linalg.charpoly(a, p)
+    factors = gfpoly.factor_squarefree(gfpoly.squarefree_part(cp, p), p, seed=seed)
+    for f in sorted(factors, key=lambda f: (len(f), f)):
+        fa = linalg.poly_of_matrix(f, a, p)
+        null_rows = kernel_basis(fa.T, p)
+        if not null_rows:
+            continue
+        rows, recipe = spin(null_rows[0], mats, p)
+        if rows.shape[0] < dim:
+            return IrreducibilityResult(False, invariant_subspace=linalg.rref(rows, p)[0])
+        dual_rows, _ = spin(kernel_basis(fa, p)[0], [m.T.copy() for m in mats], p)
+        if dual_rows.shape[0] < dim:
+            sub = np.array(kernel_basis(dual_rows, p))
+            return IrreducibilityResult(False, invariant_subspace=linalg.rref(sub, p)[0])
+        if len(null_rows) == len(f) - 1:
+            return IrreducibilityResult(True, attempt=attempt, factor=tuple(int(c) for c in f),
+                                        null_space=np.array(null_rows), basis=rows,
+                                        recipe=tuple(recipe))
+    return None
+
+
 def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> IrreducibilityResult:
     """MeatAxe with Norton's criterion.
 
     Reducible verdicts carry an explicit invariant subspace. Irreducible
     verdicts require an algebra element A and an irreducible charpoly
     factor f with nullity(f(A)) = deg f whose null vector spins up to the
-    whole module in both the module and its dual.
+    whole module in both the module and its dual. Attempts 0, 1, ... take
+    the generator matrices, the later ones random elements drawn from
+    `seed`; results are memoised (module docstring).
     """
     p, dim, mats = module.p, module.dim, module.gen_matrices
     if dim < 1:
@@ -174,28 +281,32 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
         return IrreducibilityResult(True)
     if not mats:
         return IrreducibilityResult(False, invariant_subspace=identity(dim)[:1])
-    mats_t = [m.T.copy() for m in mats]
-    rng = random.Random(seed)
-    for attempt in range(budget):
-        a = mats[attempt] if attempt < len(mats) else _random_algebra_element(mats, p, rng)
-        cp = linalg.charpoly(a, p)
-        factors = gfpoly.factor_squarefree(gfpoly.squarefree_part(cp, p), p, seed=seed)
-        for f in sorted(factors, key=lambda f: (len(f), f)):
-            fa = linalg.poly_of_matrix(f, a, p)
-            null_rows = kernel_basis(fa.T, p)
-            if not null_rows:
-                continue
-            rows, recipe = spin(null_rows[0], mats, p)
-            if rows.shape[0] < dim:
-                return IrreducibilityResult(False, invariant_subspace=linalg.rref(rows, p)[0])
-            dual_rows, _ = spin(kernel_basis(fa, p)[0], mats_t, p)
-            if dual_rows.shape[0] < dim:
-                sub = np.array(kernel_basis(dual_rows, p))
-                return IrreducibilityResult(False, invariant_subspace=linalg.rref(sub, p)[0])
-            if len(null_rows) == len(f) - 1:
-                return IrreducibilityResult(True, attempt=attempt, factor=[int(c) for c in f],
-                                            null_space=np.array(null_rows), basis=rows,
-                                            recipe=recipe)
+    key = _content(module)
+    found = _MEMO.entries.get(key)
+    if found is None:
+        found = _Found()
+        for attempt, a in enumerate(mats):
+            # seed 0: every seed gives the same factors, tried in the same order
+            result = _attempt(a, attempt, mats, p, seed=0)
+            if result is not None:
+                found.decided_at, found.verdict = attempt, result
+                break
+        _MEMO.add(key, found, found.verdict, sum(len(x) for *_, x in key[2]))
+    if found.verdict is not None:
+        if found.decided_at < budget:
+            return found.verdict
+    elif budget > len(mats):
+        result = found.random.get((seed, budget))
+        if result is None:
+            rng = random.Random(seed)
+            for attempt in range(len(mats), budget):
+                result = _attempt(_random_algebra_element(mats, p, rng), attempt, mats, p, seed)
+                if result is not None:
+                    found.random[seed, budget] = result
+                    _MEMO.add(key, found, result)
+                    break
+        if result is not None:
+            return result
     raise RandomnessExhausted(f"no singular element of minimal nullity in {budget} attempts")
 
 
@@ -209,12 +320,22 @@ def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
     dim End_G(V) <= e = dim N. For w in N, the map X_w sending the standard
     basis to the words of its recipe applied to w is the only candidate with
     vX = w, and End_G(V) is the null space of w -> ([X_w, M(g)])_g on N.
+    Memoised for the results the memo handed out for this module's content.
     """
     if not result.irreducible:
         raise ValueError("commutant_dim needs an irreducible MeatAxe result")
-    p, d, mats = module.p, module.dim, module.gen_matrices
-    if d == 1:
+    if module.dim == 1:
         return 1
+    found = _MEMO.entries.get(_content(module))
+    if found is None or result not in found.commutant:
+        return _commutant_dim(module, result)
+    if found.commutant[result] is None:
+        found.commutant[result] = _commutant_dim(module, result)
+    return found.commutant[result]
+
+
+def _commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
+    p, d, mats = module.p, module.dim, module.gen_matrices
     if (result.basis is None or result.basis.shape != (d, d)
             or max(g for _, g in result.recipe) >= len(mats)):
         raise ValueError("irreducibility certificate does not match this module")

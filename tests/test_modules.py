@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from heartproof import linalg, modules, perm
-from heartproof.groups import PermGroup, alternating_group, mathieu_group, symmetric_group
+from heartproof.groups import (PermGroup, alternating_group, mathieu_group, psl2_group,
+                               symmetric_group)
 from heartproof.modules import commutant_dim, heart, heart_matrix, is_irreducible
 
 from intertwiners import is_invertible, module_iso, permutation_module, tensor, word_matrix
@@ -16,6 +18,21 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def cyclic5():
     return PermGroup([perm.parse_perm("(0 1 2 3 4)")], 5)
+
+
+def forget_meataxe(monkeypatch):
+    """An empty MeatAxe memo, so that what follows is computed afresh."""
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+
+
+def assert_same_result(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.dtype == y.dtype, f.name
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 def assert_invariant(witness, mats, p):
@@ -135,6 +152,12 @@ def test_commutant_certificate_shapes():
 
 
 def test_commutant_rejects_reducible_and_foreign_results():
+    # each module's own result is memoised first, its commutant with it
+    for own in [heart(symmetric_group(11), 5),
+                modules.GModule(cyclic5(), 5, 10, [linalg.identity(10)]),
+                modules.GModule(cyclic5(), 5, 10, [linalg.identity(10)] * 2)]:
+        r = is_irreducible(own)
+        assert not r.irreducible or commutant_dim(own, r) == 1
     h = heart(cyclic5(), 11)
     r = is_irreducible(h)
     assert not r.irreducible
@@ -163,6 +186,7 @@ def test_commutant_reads_the_certificate(monkeypatch):
     def rebuilt(*args, **kwargs):
         raise AssertionError("commutant_dim recomputed what the MeatAxe found")
 
+    forget_meataxe(monkeypatch)
     h = heart(mathieu_group(11), 5)
     wide = is_irreducible(h)
     line_heart = heart(symmetric_group(8), 11)
@@ -185,13 +209,108 @@ def test_commutant_reads_the_certificate(monkeypatch):
     assert commutant_dim(line_heart, line) == 1 and len(shapes) == 2
 
 
-def test_meataxe_seed_determinism():
+def test_meataxe_seed_determinism(monkeypatch):
     h = heart(mathieu_group(11), 5)
+    forget_meataxe(monkeypatch)
     a = is_irreducible(h, seed=1)
+    forget_meataxe(monkeypatch)
     b = is_irreducible(h, seed=1)
+    assert a is not b
     assert a.irreducible and b.irreducible
     assert (a.attempt, a.factor, a.recipe) == (b.attempt, b.factor, b.recipe)
     assert np.array_equal(a.null_space, b.null_space) and np.array_equal(a.basis, b.basis)
+
+
+def psl2_16_heart(p):
+    # no generator attempt decides: the certificate comes at attempt 4
+    h = heart(psl2_group(2, 4), p)
+    assert len(h.gen_matrices) == 4
+    return h
+
+
+def memo_cases():
+    """(heart, seed): S10 and M11 at p = 5, the 7-cycle's at p = 11, PSL2(16)'s
+    at p = 3 under two seeds."""
+    seven = PermGroup([perm.parse_perm("(0 1 2 3 4 5 6)")], 7)
+    return [(heart(symmetric_group(10), 5), 0), (heart(mathieu_group(11), 5), 0),
+            (heart(seven, 11), 0), (psl2_16_heart(3), 0), (psl2_16_heart(3), 1)]
+
+
+def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
+    forget_meataxe(monkeypatch)
+    cases = memo_cases()
+    first = []
+    for h, seed in cases:
+        r = is_irreducible(h, seed=seed)
+        first.append((r, commutant_dim(h, r) if r.irreducible else None))
+    # the 7-cycle's heart splits at p = 11; PSL2(16)'s two seeds certify differently
+    assert [r.irreducible for r, _ in first] == [True, True, False, True, True]
+    assert first[3][0].factor != first[4][0].factor
+    hits = [is_irreducible(h, seed=seed) for h, seed in cases]
+    assert all(hit is r for hit, (r, _) in zip(hits, first))
+    for (h, seed), hit, (_, cdim) in zip(cases, hits, first):
+        hit_cdim = commutant_dim(h, hit) if hit.irreducible else None
+        forget_meataxe(monkeypatch)
+        fresh = is_irreducible(h, seed=seed)
+        assert fresh is not hit
+        assert_same_result(hit, fresh)
+        if fresh.irreducible:
+            assert hit_cdim == cdim == commutant_dim(h, fresh) == kronecker_commutant_dim(h)
+
+
+def test_meataxe_generator_verdicts_ignore_the_seed(monkeypatch):
+    for h, _ in memo_cases()[:3]:
+        forget_meataxe(monkeypatch)
+        base = is_irreducible(h, seed=0)
+        assert base.attempt is None or base.attempt < len(h.gen_matrices)
+        # shared by every seed, and what each seed computes afresh
+        assert all(is_irreducible(h, seed=seed) is base for seed in range(10))
+        for seed in range(1, 10):
+            forget_meataxe(monkeypatch)
+            assert_same_result(is_irreducible(h, seed=seed), base)
+
+
+def test_meataxe_budget_bounds_memoised_attempts(monkeypatch):
+    h = psl2_16_heart(3)
+    forget_meataxe(monkeypatch)
+    with pytest.raises(modules.RandomnessExhausted, match="in 4 attempts"):
+        is_irreducible(h, budget=4)
+    r = is_irreducible(h)
+    assert r.attempt == 4
+    with pytest.raises(modules.RandomnessExhausted, match="in 4 attempts"):
+        is_irreducible(h, budget=4)
+    assert_same_result(is_irreducible(h, budget=5), r)
+    # a verdict of generator attempt 0 needs a budget of one attempt
+    s10 = heart(symmetric_group(10), 5)
+    assert is_irreducible(s10).attempt == 0
+    with pytest.raises(modules.RandomnessExhausted, match="in 0 attempts"):
+        is_irreducible(s10, budget=0)
+    assert is_irreducible(s10, budget=1).irreducible
+
+
+def test_meataxe_results_are_read_only():
+    irreducible = is_irreducible(heart(mathieu_group(11), 5))
+    reducible = is_irreducible(heart(cyclic5(), 11))
+    for array in (irreducible.null_space, irreducible.basis, reducible.invariant_subspace):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        irreducible.attempt = 3
+
+
+def test_meataxe_memo_evicts_the_oldest_entry(monkeypatch):
+    forget_meataxe(monkeypatch)
+    old, new = heart(mathieu_group(11), 5), heart(alternating_group(5), 7)
+    r = is_irreducible(old)
+    # room for the older, larger entry alone
+    monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
+    s = is_irreducible(new)
+    assert len(modules._MEMO.entries) == 1 and is_irreducible(new) is s
+    again = is_irreducible(old)
+    assert again is not r
+    assert_same_result(again, r)
+    assert commutant_dim(old, again) == commutant_dim(old, r) == 1
+    assert modules._MEMO.nbytes <= modules.MEMO_BYTES
 
 
 def test_tensor():

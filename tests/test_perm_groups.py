@@ -108,6 +108,15 @@ def test_double_transitivity_examples():
     assert psl2_group(13).is_doubly_transitive()
 
 
+def test_double_transitivity_is_found_once(monkeypatch):
+    g = PermGroup(psl2_group(13).generators, 14)
+    assert g.is_doubly_transitive()
+    # without its generators the pair orbit of (0, 1) is that pair alone
+    monkeypatch.setattr(g, "generators", ())
+    assert g.is_doubly_transitive()
+    assert not PermGroup([], degree=1).is_doubly_transitive()
+
+
 def test_subgroup_class_counts():
     # total subgroup counts of small groups, a classical cross-check
     assert sum(r.class_size for r in subgroup_classes(alternating_group(4))) == 10
