@@ -15,15 +15,19 @@ which keeps the null space and the standard basis the MeatAxe spun.
 Both are memoised per process, by the module's exact content: p, the
 dimension and the dtype, shape and bytes of each generator matrix, compared
 in full, so a hash collision cannot hand out another module's verdict. The
-first attempts take the generator matrices themselves and draw nothing from
-the seed: the monic irreducible factors of a charpoly are unique and are
-tried in one fixed order, whichever seed split them. So their outcome is
-kept once for every seed; a module they leave undecided keeps its
-random-element result per (seed, budget). The commutant dimension is kept
-for each result the memo handed out, and any other result is replayed in
-full. At most `MEMO_BYTES` are kept, oldest entry first. A result is
-frozen, and the arrays of one the memo hands out are read-only, since every
-later caller shares them.
+first attempts form a seed-free prefix: the generator matrices themselves,
+then the first `SEED_FREE_DRAWS` random elements drawn from Random(0). The
+monic irreducible factors of a charpoly are unique and are tried in one
+fixed order, whichever seed split them, so the prefix's outcome is kept once
+for every seed. Later attempts draw from Random(seed) after skipping its
+first `SEED_FREE_DRAWS` draws, so seed 0 tries exactly the elements it
+always tried, and a module the prefix leaves undecided keeps its
+random-element result per (seed, budget). Whichever attempt k decided, the
+verdict needs a budget above k. The commutant dimension is kept for each
+result the memo handed out, and any other result is replayed in full. At
+most `MEMO_BYTES` are kept, oldest entry first. A result is frozen, and the
+arrays of one the memo hands out are read-only, since every later caller
+shares them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import random
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -166,6 +171,12 @@ class IrreducibilityResult:
 # Bytes the MeatAxe memo keeps at most: about 170 hearts of dimension 20 on
 # two generators fit, and no run of new modules grows the process past it.
 MEMO_BYTES = 2 * 2**20
+# Random draws in the seed-free prefix, after the generator matrices. A first
+# touch runs the whole prefix whatever its budget, and every seed shares it,
+# so it is kept small against the default budget of 200 attempts: a module
+# the prefix leaves undecided still gets 192 - len(gens) draws of each seed's
+# own, which is what a retry with another seed is for.
+SEED_FREE_DRAWS = 8
 # Python objects around each result kept (result, tuples, array headers, dict
 # slots), measured with tracemalloc; the matrices and arrays are counted exactly.
 _OBJECT_BYTES = 1536
@@ -175,10 +186,10 @@ _OBJECT_BYTES = 1536
 class _Found:
     """What the MeatAxe found for one module content.
 
-    `verdict` is the result of generator attempt `decided_at`, both None when
-    no generator attempt decided; `random` holds the random-element results
-    by (seed, budget); `commutant` maps every result handed out to its
-    commutant dimension, None until computed.
+    `verdict` is the result of prefix attempt `decided_at`, both None when
+    the seed-free prefix left the module undecided; `random` holds the
+    random-element results by (seed, budget); `commutant` maps every result
+    handed out to its commutant dimension, None until computed.
     """
 
     decided_at: int | None = None
@@ -271,8 +282,9 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
     verdicts require an algebra element A and an irreducible charpoly
     factor f with nullity(f(A)) = deg f whose null vector spins up to the
     whole module in both the module and its dual. Attempts 0, 1, ... take
-    the generator matrices, the later ones random elements drawn from
-    `seed`; results are memoised (module docstring).
+    the generator matrices, then the first `SEED_FREE_DRAWS` random elements
+    of seed 0, then random elements drawn from `seed`; a verdict found at
+    attempt k needs budget > k. Results are memoised (module docstring).
     """
     p, dim, mats = module.p, module.dim, module.gen_matrices
     if dim < 1:
@@ -283,9 +295,12 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
         return IrreducibilityResult(False, invariant_subspace=identity(dim)[:1])
     key = _content(module)
     found = _MEMO.entries.get(key)
+    prefix = len(mats) + SEED_FREE_DRAWS
     if found is None:
         found = _Found()
-        for attempt, a in enumerate(mats):
+        rng = random.Random(0)
+        drawn = (_random_algebra_element(mats, p, rng) for _ in range(SEED_FREE_DRAWS))
+        for attempt, a in enumerate(chain(mats, drawn)):
             # seed 0: every seed gives the same factors, tried in the same order
             result = _attempt(a, attempt, mats, p, seed=0)
             if result is not None:
@@ -295,11 +310,14 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
     if found.verdict is not None:
         if found.decided_at < budget:
             return found.verdict
-    elif budget > len(mats):
+    elif budget > prefix:
         result = found.random.get((seed, budget))
         if result is None:
             rng = random.Random(seed)
-            for attempt in range(len(mats), budget):
+            # skip what the prefix drew, so that seed 0 goes on where it stopped
+            for _ in range(SEED_FREE_DRAWS):
+                _random_algebra_element(mats, p, rng)
+            for attempt in range(prefix, budget):
                 result = _attempt(_random_algebra_element(mats, p, rng), attempt, mats, p, seed)
                 if result is not None:
                     found.random[seed, budget] = result

@@ -289,7 +289,8 @@ def _frobenius_traces(f: PolyZ, primes: list[int], upto: int) -> np.ndarray:
     # companion matrix of monic f mod p: row i is x^(i+1) mod f
     companion = np.zeros((len(primes), n, n), dtype=np.int64)
     companion[:, np.arange(n - 1), np.arange(1, n)] = 1
-    companion[:, n - 1] = [[-c * pow(f.lc, -1, p) % p for c in f.coeffs[:-1]] for p in primes]
+    invs = [pow(f.lc, -1, p) for p in primes]
+    companion[:, n - 1] = [[-c * inv % p for c in f.coeffs[:-1]] for p, inv in zip(primes, invs)]
     # F = C^p, multiplication by x^p mod f, by square-and-multiply on each p's bits
     frob = np.broadcast_to(np.eye(n, dtype=np.int64), companion.shape).copy()
     for bit in range(max(primes).bit_length() - 1, -1, -1):

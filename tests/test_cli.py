@@ -357,6 +357,30 @@ def test_heart_runs_one_meataxe(monkeypatch, capsys):
     assert calls == {"is_irreducible": 1, "commutant_dim": 1}
 
 
+def test_heart_seeds_share_the_seed_free_verdict(monkeypatch, capsys):
+    # PSL2(16)'s heart at p = 3 is decided by the first seed-free random draw
+    from heartproof import modules
+
+    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+    attempts = []
+
+    def counted(*args, _f=modules._attempt, **kwargs):
+        attempts[-1] += 1
+        return _f(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "_attempt", counted)
+    outs = []
+    for seed in range(5):
+        attempts.append(0)
+        code, out, _ = run_cli(["heart", "--group", "PSL2(16)", "--p", "3", "--seed", str(seed)],
+                               capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs == [outs[0]] * 5
+    assert attempts[0] > 0 and attempts[1:] == [0] * 4
+
+
 @pytest.mark.parametrize("tag, ell", [("PSL2(6^2)", 6), ("PSL2(4^2)", 4), ("U3(6,1)", 6)])
 def test_analyze_refuses_non_prime_characteristic(tag, ell, capsys):
     code, out, err = run_cli(["analyze", "--group", tag, "--p", "5"], capsys)

@@ -237,6 +237,8 @@ def memo_cases():
 
 
 def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
+    # no seed-free draws: PSL2(16)'s random attempts take the per-(seed, budget) path
+    monkeypatch.setattr(modules, "SEED_FREE_DRAWS", 0)
     forget_meataxe(monkeypatch)
     cases = memo_cases()
     first = []
@@ -259,15 +261,40 @@ def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
 
 
 def test_meataxe_generator_verdicts_ignore_the_seed(monkeypatch):
-    for h, _ in memo_cases()[:3]:
+    """Verdicts of the seed-free prefix (generator matrices, then the first
+    SEED_FREE_DRAWS draws of seed 0) are one object for every seed."""
+    prefix_decided = [psl2_16_heart(3), psl2_16_heart(7), heart(psl2_group(5, 2), 3)]
+    for h in [h for h, _ in memo_cases()[:3]] + prefix_decided:
         forget_meataxe(monkeypatch)
         base = is_irreducible(h, seed=0)
-        assert base.attempt is None or base.attempt < len(h.gen_matrices)
+        assert base.attempt is None or base.attempt < len(h.gen_matrices) + modules.SEED_FREE_DRAWS
         # shared by every seed, and what each seed computes afresh
         assert all(is_irreducible(h, seed=seed) is base for seed in range(10))
         for seed in range(1, 10):
             forget_meataxe(monkeypatch)
             assert_same_result(is_irreducible(h, seed=seed), base)
+    # seed 0 tries the elements it tried without the prefix
+    for h in prefix_decided:
+        forget_meataxe(monkeypatch)
+        base = is_irreducible(h, seed=0)
+        assert base.attempt >= len(h.gen_matrices)
+        with monkeypatch.context() as m:
+            m.setattr(modules, "SEED_FREE_DRAWS", 0)
+            forget_meataxe(m)
+            assert_same_result(is_irreducible(h, seed=0), base)
+    # and after the prefix: with attempts below 7 refused, seed 0 decides at
+    # attempt 7 with the same element, whether the prefix holds it or not
+    attempt = modules._attempt
+    monkeypatch.setattr(modules, "_attempt",
+                        lambda a, k, *rest, **kw: attempt(a, k, *rest, **kw) if k >= 7 else None)
+    late = []
+    for draws in (0, 2, modules.SEED_FREE_DRAWS):
+        monkeypatch.setattr(modules, "SEED_FREE_DRAWS", draws)
+        forget_meataxe(monkeypatch)
+        late.append(is_irreducible(prefix_decided[0], seed=0))
+    assert late[0].attempt == 7
+    for r in late[1:]:
+        assert_same_result(r, late[0])
 
 
 def test_meataxe_budget_bounds_memoised_attempts(monkeypatch):
