@@ -18,16 +18,14 @@ in full, so a hash collision cannot hand out another module's verdict. The
 first attempts form a seed-free prefix: the generator matrices themselves,
 then the first `SEED_FREE_DRAWS` random elements drawn from Random(0). The
 monic irreducible factors of a charpoly are unique and are tried in one
-fixed order, whichever seed split them, so the prefix's outcome is kept once
-for every seed. Later attempts draw from Random(seed) after skipping its
-first `SEED_FREE_DRAWS` draws, so seed 0 tries exactly the elements it
-always tried, and a module the prefix leaves undecided keeps its
-random-element result per (seed, budget). Whichever attempt k decided, the
-verdict needs a budget above k. The commutant dimension is kept for each
-result the memo handed out, and any other result is replayed in full. At
-most `MEMO_BYTES` are kept, oldest entry first. A result is frozen, and the
-arrays of one the memo hands out are read-only, since every later caller
-shares them.
+fixed order, whichever seed split them, so the prefix's verdict is kept once
+for every seed, with its commutant dimension. Later attempts draw from
+Random(seed) after skipping its first `SEED_FREE_DRAWS` draws, so seed 0
+tries exactly the elements it always tried; a module the prefix leaves
+undecided runs them on every call. All attempts together stop at
+`ATTEMPTS`. At most `MEMO_BYTES` are kept, oldest entry first, and an entry
+larger than that alone is not kept. A result is frozen, and the arrays of a
+verdict the memo holds are read-only, since every later caller shares them.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from __future__ import annotations
 import random
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -71,7 +69,6 @@ class GModule:
     p: int
     dim: int
     gen_matrices: list[np.ndarray]
-    label: str = ""
 
 
 @dataclass
@@ -112,7 +109,7 @@ def heart(g: PermGroup, p: int) -> HeartModule:
     kind = "quotient" if n % p == 0 else "hyperplane"
     dim = n - 2 if kind == "quotient" else n - 1
     mats = [heart_matrix(x, p) for x in g.generators]
-    return HeartModule(g, p, dim, mats, label=f"heart(n={n})", n=n, kind=kind)
+    return HeartModule(g, p, dim, mats, n=n, kind=kind)
 
 
 def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
@@ -171,32 +168,28 @@ class IrreducibilityResult:
 # Bytes the MeatAxe memo keeps at most: about 170 hearts of dimension 20 on
 # two generators fit, and no run of new modules grows the process past it.
 MEMO_BYTES = 2 * 2**20
+# MeatAxe attempts per call, the seed-free prefix included.
+ATTEMPTS = 200
 # Random draws in the seed-free prefix, after the generator matrices. A first
-# touch runs the whole prefix whatever its budget, and every seed shares it,
-# so it is kept small against the default budget of 200 attempts: a module
-# the prefix leaves undecided still gets 192 - len(gens) draws of each seed's
-# own, which is what a retry with another seed is for.
+# touch runs the whole prefix, and every seed shares it, so it is kept small
+# against `ATTEMPTS`: a module the prefix leaves undecided still gets
+# 192 - len(gens) draws of each seed's own, which is what a retry with
+# another seed is for.
 SEED_FREE_DRAWS = 8
-# Python objects around each result kept (result, tuples, array headers, dict
+# Python objects around each entry kept (result, tuples, array headers, dict
 # slots), measured with tracemalloc; the matrices and arrays are counted exactly.
 _OBJECT_BYTES = 1536
 
 
 @dataclass
 class _Found:
-    """What the MeatAxe found for one module content.
+    """The seed-free prefix's verdict for one module content (None if the
+    prefix left it undecided), the entry's bytes, and the verdict's
+    commutant dimension, None until computed."""
 
-    `verdict` is the result of prefix attempt `decided_at`, both None when
-    the seed-free prefix left the module undecided; `random` holds the
-    random-element results by (seed, budget); `commutant` maps every result
-    handed out to its commutant dimension, None until computed.
-    """
-
-    decided_at: int | None = None
-    verdict: IrreducibilityResult | None = None
-    random: dict[tuple[int, int], IrreducibilityResult] = field(default_factory=dict)
-    commutant: dict[IrreducibilityResult, int | None] = field(default_factory=dict)
-    nbytes: int = 0
+    verdict: IrreducibilityResult | None
+    nbytes: int
+    commutant: int | None = None
 
 
 class _Memo:
@@ -207,26 +200,25 @@ class _Memo:
         self.entries: OrderedDict[tuple, _Found] = OrderedDict()
         self.nbytes = 0
 
-    def add(self, key: tuple, found: _Found, result: IrreducibilityResult | None,
-            nbytes: int = 0) -> None:
-        """Keep `found` under `key`, now holding `result` and `nbytes` more."""
-        nbytes += _OBJECT_BYTES
-        if result is not None:
-            found.commutant[result] = None
-            arrays = [x for x in (result.invariant_subspace, result.null_space, result.basis)
+    def add(self, key: tuple, verdict: IrreducibilityResult | None) -> _Found:
+        """Keep `verdict` under `key`, unless its entry alone exceeds
+        `MEMO_BYTES`; either way return the entry."""
+        nbytes = _OBJECT_BYTES + sum(len(x) for *_, x in key[2])
+        if verdict is not None:
+            arrays = [x for x in (verdict.invariant_subspace, verdict.null_space, verdict.basis)
                       if x is not None]
             for x in arrays:
                 x.flags.writeable = False
             # a recipe step is a tuple of two small ints: 64 bytes
-            nbytes += sum(x.nbytes for x in arrays) + 64 * len(result.recipe or ())
-        if key not in self.entries:  # new, or evicted while it grew
+            nbytes += sum(x.nbytes for x in arrays) + 64 * len(verdict.recipe or ())
+        found = _Found(verdict, nbytes)
+        if nbytes <= MEMO_BYTES:
             self.entries[key] = found
-            self.nbytes += found.nbytes
-        found.nbytes += nbytes
-        self.nbytes += nbytes
-        while self.nbytes > MEMO_BYTES:
-            _, old = self.entries.popitem(last=False)
-            self.nbytes -= old.nbytes
+            self.nbytes += nbytes
+            while self.nbytes > MEMO_BYTES:
+                _, old = self.entries.popitem(last=False)
+                self.nbytes -= old.nbytes
+        return found
 
 
 _MEMO = _Memo()
@@ -275,7 +267,7 @@ def _attempt(a: np.ndarray, attempt: int, mats: list[np.ndarray], p: int,
     return None
 
 
-def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> IrreducibilityResult:
+def is_irreducible(module: GModule, seed: int = 0) -> IrreducibilityResult:
     """MeatAxe with Norton's criterion.
 
     Reducible verdicts carry an explicit invariant subspace. Irreducible
@@ -283,8 +275,8 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
     factor f with nullity(f(A)) = deg f whose null vector spins up to the
     whole module in both the module and its dual. Attempts 0, 1, ... take
     the generator matrices, then the first `SEED_FREE_DRAWS` random elements
-    of seed 0, then random elements drawn from `seed`; a verdict found at
-    attempt k needs budget > k. Results are memoised (module docstring).
+    of seed 0, then random elements drawn from `seed`, up to `ATTEMPTS` in
+    all. The prefix's verdict is memoised (module docstring).
     """
     p, dim, mats = module.p, module.dim, module.gen_matrices
     if dim < 1:
@@ -295,37 +287,27 @@ def is_irreducible(module: GModule, seed: int = 0, budget: int = 200) -> Irreduc
         return IrreducibilityResult(False, invariant_subspace=identity(dim)[:1])
     key = _content(module)
     found = _MEMO.entries.get(key)
-    prefix = len(mats) + SEED_FREE_DRAWS
     if found is None:
-        found = _Found()
         rng = random.Random(0)
         drawn = (_random_algebra_element(mats, p, rng) for _ in range(SEED_FREE_DRAWS))
-        for attempt, a in enumerate(chain(mats, drawn)):
+        verdict = None
+        for attempt, a in enumerate(islice(chain(mats, drawn), ATTEMPTS)):
             # seed 0: every seed gives the same factors, tried in the same order
-            result = _attempt(a, attempt, mats, p, seed=0)
-            if result is not None:
-                found.decided_at, found.verdict = attempt, result
+            verdict = _attempt(a, attempt, mats, p, seed=0)
+            if verdict is not None:
                 break
-        _MEMO.add(key, found, found.verdict, sum(len(x) for *_, x in key[2]))
+        found = _MEMO.add(key, verdict)
     if found.verdict is not None:
-        if found.decided_at < budget:
-            return found.verdict
-    elif budget > prefix:
-        result = found.random.get((seed, budget))
-        if result is None:
-            rng = random.Random(seed)
-            # skip what the prefix drew, so that seed 0 goes on where it stopped
-            for _ in range(SEED_FREE_DRAWS):
-                _random_algebra_element(mats, p, rng)
-            for attempt in range(prefix, budget):
-                result = _attempt(_random_algebra_element(mats, p, rng), attempt, mats, p, seed)
-                if result is not None:
-                    found.random[seed, budget] = result
-                    _MEMO.add(key, found, result)
-                    break
+        return found.verdict
+    rng = random.Random(seed)
+    # skip what the prefix drew, so that seed 0 goes on where it stopped
+    for _ in range(SEED_FREE_DRAWS):
+        _random_algebra_element(mats, p, rng)
+    for attempt in range(len(mats) + SEED_FREE_DRAWS, ATTEMPTS):
+        result = _attempt(_random_algebra_element(mats, p, rng), attempt, mats, p, seed)
         if result is not None:
             return result
-    raise RandomnessExhausted(f"no singular element of minimal nullity in {budget} attempts")
+    raise RandomnessExhausted(f"no singular element of minimal nullity in {ATTEMPTS} attempts")
 
 
 def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
@@ -338,18 +320,18 @@ def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
     dim End_G(V) <= e = dim N. For w in N, the map X_w sending the standard
     basis to the words of its recipe applied to w is the only candidate with
     vX = w, and End_G(V) is the null space of w -> ([X_w, M(g)])_g on N.
-    Memoised for the results the memo handed out for this module's content.
+    Memoised for the verdict the memo holds for this module's content.
     """
     if not result.irreducible:
         raise ValueError("commutant_dim needs an irreducible MeatAxe result")
     if module.dim == 1:
         return 1
     found = _MEMO.entries.get(_content(module))
-    if found is None or result not in found.commutant:
+    if found is None or result is not found.verdict:
         return _commutant_dim(module, result)
-    if found.commutant[result] is None:
-        found.commutant[result] = _commutant_dim(module, result)
-    return found.commutant[result]
+    if found.commutant is None:
+        found.commutant = _commutant_dim(module, result)
+    return found.commutant
 
 
 def _commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
@@ -518,8 +500,8 @@ def sl2f5_two_dim_reps(p: int, seed: int = 0) -> Sl2F5Pair:
     got = (t[0] + t[3]) % p
     other = r2 if got == r1 else r1
     s2, t2 = _binary_icosahedral_pair(p, [other])
-    v1 = GModule(group, p, 2, [_mat2_to_array(s, p), _mat2_to_array(t, p)], label="V1")
-    v2 = GModule(group, p, 2, [_mat2_to_array(s2, p), _mat2_to_array(t2, p)], label="V2")
+    v1 = GModule(group, p, 2, [_mat2_to_array(s, p), _mat2_to_array(t, p)])
+    v2 = GModule(group, p, 2, [_mat2_to_array(s2, p), _mat2_to_array(t2, p)])
 
     # degree-5 quotient: projective action mod +-1, then cosets of the first
     # index-5 subgroup of the resulting PSL(2, 5)
@@ -535,5 +517,5 @@ def sl2f5_two_dim_reps(p: int, seed: int = 0) -> Sl2F5Pair:
     if act5.degree != 5 or not act5.is_doubly_transitive():
         raise AssertionError("degree-5 quotient action is not doubly transitive")
     mats = [heart_matrix(g, p) for g in act5.generators]
-    pull = GModule(group, p, 4, mats, label="pullback-heart")
+    pull = GModule(group, p, 4, mats)
     return Sl2F5Pair(group, v1, v2, pull, act5)

@@ -33,7 +33,7 @@ def permutation_module(g, p: int) -> GModule:
         m = linalg.zeros(g.degree, g.degree)
         m[range(g.degree), x] = 1
         mats.append(m)
-    return GModule(g, p, g.degree, mats, label=f"perm(dim {g.degree})")
+    return GModule(g, p, g.degree, mats)
 
 
 def tensor(m1: GModule, m2: GModule) -> GModule:
@@ -42,7 +42,7 @@ def tensor(m1: GModule, m2: GModule) -> GModule:
     if m1.p != m2.p or g1.generators != g2.generators:
         raise ValueError("tensor factors are modules over different groups or primes")
     mats = [np.kron(a, b) % m1.p for a, b in zip(m1.gen_matrices, m2.gen_matrices)]
-    return GModule(g1, m1.p, m1.dim * m2.dim, mats, label=f"{m1.label}(x){m2.label}")
+    return GModule(g1, m1.p, m1.dim * m2.dim, mats)
 
 
 def hom_space(m1: GModule, m2: GModule) -> list[np.ndarray]:

@@ -237,7 +237,7 @@ def memo_cases():
 
 
 def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
-    # no seed-free draws: PSL2(16)'s random attempts take the per-(seed, budget) path
+    # no seed-free draws: PSL2(16)'s random attempts run afresh on every call
     monkeypatch.setattr(modules, "SEED_FREE_DRAWS", 0)
     forget_meataxe(monkeypatch)
     cases = memo_cases()
@@ -248,16 +248,17 @@ def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
     # the 7-cycle's heart splits at p = 11; PSL2(16)'s two seeds certify differently
     assert [r.irreducible for r, _ in first] == [True, True, False, True, True]
     assert first[3][0].factor != first[4][0].factor
-    hits = [is_irreducible(h, seed=seed) for h, seed in cases]
-    assert all(hit is r for hit, (r, _) in zip(hits, first))
-    for (h, seed), hit, (_, cdim) in zip(cases, hits, first):
-        hit_cdim = commutant_dim(h, hit) if hit.irreducible else None
+    again = [is_irreducible(h, seed=seed) for h, seed in cases]
+    # the prefix's verdicts are memo hits, PSL2(16)'s per-seed results are not kept
+    assert [a is r for a, (r, _) in zip(again, first)] == [True, True, True, False, False]
+    for (h, seed), a, (_, cdim) in zip(cases, again, first):
+        a_cdim = commutant_dim(h, a) if a.irreducible else None
         forget_meataxe(monkeypatch)
         fresh = is_irreducible(h, seed=seed)
-        assert fresh is not hit
-        assert_same_result(hit, fresh)
+        assert fresh is not a
+        assert_same_result(a, fresh)
         if fresh.irreducible:
-            assert hit_cdim == cdim == commutant_dim(h, fresh) == kronecker_commutant_dim(h)
+            assert a_cdim == cdim == commutant_dim(h, fresh) == kronecker_commutant_dim(h)
 
 
 def test_meataxe_generator_verdicts_ignore_the_seed(monkeypatch):
@@ -298,21 +299,22 @@ def test_meataxe_generator_verdicts_ignore_the_seed(monkeypatch):
 
 
 def test_meataxe_budget_bounds_memoised_attempts(monkeypatch):
-    h = psl2_16_heart(3)
-    forget_meataxe(monkeypatch)
-    with pytest.raises(modules.RandomnessExhausted, match="in 4 attempts"):
-        is_irreducible(h, budget=4)
-    r = is_irreducible(h)
-    assert r.attempt == 4
-    with pytest.raises(modules.RandomnessExhausted, match="in 4 attempts"):
-        is_irreducible(h, budget=4)
-    assert_same_result(is_irreducible(h, budget=5), r)
-    # a verdict of generator attempt 0 needs a budget of one attempt
-    s10 = heart(symmetric_group(10), 5)
-    assert is_irreducible(s10).attempt == 0
-    with pytest.raises(modules.RandomnessExhausted, match="in 0 attempts"):
-        is_irreducible(s10, budget=0)
-    assert is_irreducible(s10, budget=1).irreducible
+    """`ATTEMPTS` bounds all attempts, the seed-free prefix included."""
+    h, s10 = psl2_16_heart(3), heart(symmetric_group(10), 5)
+    default = modules.ATTEMPTS
+    for module, attempts in [(h, 4), (s10, 0)]:
+        monkeypatch.setattr(modules, "ATTEMPTS", default)
+        forget_meataxe(monkeypatch)
+        r = is_irreducible(module)
+        assert r.attempt == attempts
+        monkeypatch.setattr(modules, "ATTEMPTS", attempts)
+        forget_meataxe(monkeypatch)
+        with pytest.raises(modules.RandomnessExhausted, match=f"in {attempts} attempts"):
+            is_irreducible(module)
+        # the verdict of attempt k needs k + 1 attempts
+        monkeypatch.setattr(modules, "ATTEMPTS", attempts + 1)
+        forget_meataxe(monkeypatch)
+        assert_same_result(is_irreducible(module), r)
 
 
 def test_meataxe_results_are_read_only():
@@ -338,6 +340,51 @@ def test_meataxe_memo_evicts_the_oldest_entry(monkeypatch):
     assert_same_result(again, r)
     assert commutant_dim(old, again) == commutant_dim(old, r) == 1
     assert modules._MEMO.nbytes <= modules.MEMO_BYTES
+
+
+def test_meataxe_memo_keeps_its_entries_past_an_oversize_one(monkeypatch):
+    forget_meataxe(monkeypatch)
+    small, big = heart(alternating_group(5), 7), heart(mathieu_group(11), 5)
+    s = is_irreducible(small)
+    # room for the small entry alone: the larger one does not fit even by itself
+    monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
+    r = is_irreducible(big)
+    assert len(modules._MEMO.entries) == 1 and is_irreducible(small) is s
+    again = is_irreducible(big)
+    assert again is not r
+    assert_same_result(again, r)
+    assert commutant_dim(big, again) == commutant_dim(big, r) == 1
+
+
+def sweep_groups():
+    """S5-S12, A5-A12, the five Mathieu groups, 14 PSL2(q) and the cyclic and
+    dihedral groups of degree 5-13."""
+    def cyclic(n):
+        return PermGroup([tuple((i + 1) % n for i in range(n))], n)
+
+    def dihedral(n):
+        return PermGroup([cyclic(n).generators[0], tuple(-i % n for i in range(n))], n)
+
+    psl2 = [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (17, 1),
+            (19, 1), (23, 1), (5, 2), (3, 3), (29, 1)]
+    return ([symmetric_group(n) for n in range(5, 13)]
+            + [alternating_group(n) for n in range(5, 13)]
+            + [mathieu_group(n) for n in (11, 12, 22, 23, 24)]
+            + [psl2_group(ell, r) for ell, r in psl2]
+            + [cyclic(n) for n in range(5, 14)] + [dihedral(n) for n in range(5, 14)])
+
+
+def test_meataxe_prefix_decides_every_swept_heart(monkeypatch):
+    """The memo keeps no per-seed results because the seed-free prefix decides
+    every heart here; a heart it leaves undecided is named."""
+    forget_meataxe(monkeypatch)
+    hearts = [heart(g, p) for g in sweep_groups() for p in (3, 5, 7, 11, 13)]
+    undecided = []
+    for h in hearts:
+        is_irreducible(h)
+        if modules._MEMO.entries[modules._content(h)].verdict is None:
+            undecided.append((h.group.degree, h.group.order, h.p))
+    assert len(hearts) == 265 and undecided == []
 
 
 def test_tensor():
