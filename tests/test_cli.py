@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import heartproof
 from heartproof.cli import main, parse_group_tag
 from heartproof.perm import MAX_DEGREE
 from heartproof.weights import MAX_PROFILE_Q, MAX_R
@@ -316,8 +318,11 @@ def test_seed_env_override(monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    # the child imports the heartproof this process imported, installed or not
+    path = [str(Path(heartproof.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run([sys.executable, "-m", "heartproof.cli", "weights",
-                           "--n", "5", "--p", "7"], capture_output=True, text=True)
+                           "--n", "5", "--p", "7"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
     assert proc.returncode == 0
     assert "genus 12" in proc.stdout
 

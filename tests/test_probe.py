@@ -1,4 +1,7 @@
+import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from heartproof.probe import (
     parse_poly,
 )
 
+from bareiss import resultant_bareiss
 from crt import discriminant_crt
 from cyclotomic import poly_product
 from evidence import verify_evidence
@@ -106,6 +110,43 @@ def test_discriminant_two_routes_agree():
             continue
         assert discriminant(f) == discriminant_crt(f), f
         checked += 1
+    # coefficients at the 64-bit input limit, up to degree 20
+    for deg in (3, 7, 11, 15, 20):
+        lc = rng.choice([-1, 1]) * rng.randrange(1, 2**63)
+        f = PolyZ(tuple(rng.randrange(-2**63, 2**63) for _ in range(deg)) + (lc,))
+        assert discriminant(f) == discriminant_crt(f), f
+
+
+def _random_poly(rng: random.Random, degree: int, sparse: bool) -> list[int]:
+    draw = (lambda: rng.choice([-1, 0, 0, 0, 1])) if sparse else (lambda: rng.randrange(-9, 10))
+    return [draw() for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+
+def test_resultant_matches_the_bareiss_sylvester_determinant():
+    # every degree pair 0..12 in both orders, so the swap, the odd x odd sign
+    # flips and a constant argument all occur; about a third of the pairs
+    # share a linear factor, so their resultant is 0, and in the sparse draws
+    # remainders often drop by two or more degrees at once
+    rng = random.Random(11)
+    zeros = 0
+    for da, db, sparse in itertools.product(range(13), range(13), (False, True)):
+        shared = da > 0 and db > 0 and rng.randrange(3) == 0
+        f, g = _random_poly(rng, da - shared, sparse), _random_poly(rng, db - shared, sparse)
+        if shared:
+            factor = [rng.randrange(-3, 4), rng.choice([-2, -1, 1, 2])]
+            f, g = poly_product([f, factor]), poly_product([g, factor])
+        f, g = PolyZ(tuple(f)), PolyZ(tuple(g))
+        for a, b in ((f, g), (g, f)):
+            assert probe.resultant(a, b) == resultant_bareiss(a, b), (a, b)
+        zeros += probe.resultant(f, g) == 0
+    assert zeros >= 60
+
+
+def test_discriminant_refuses_a_resultant_not_divisible_by_lc(monkeypatch):
+    monkeypatch.setattr(probe, "resultant", lambda f, g: 7)
+    message = r"^-7, the signed Res\(f, f'\), is not a multiple of lc\(f\) = 2$"
+    with pytest.raises(ArithmeticError, match=message):
+        discriminant(parse_poly("2*x^2 + 1"))
 
 
 def test_factor_degrees_examples():
@@ -179,18 +220,52 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, m in enumerate(marks) if m]
 
 
-def test_sample_primes_against_a_sieve():
+def test_sample_primes_against_a_sieve(monkeypatch):
     # primes dividing the leading coefficient (3 and 5 in the first), the
-    # discriminant (5 and 7, then 19 and 151 of 2869), or both (3 and 5 in
-    # the last)
-    cases = ["15*x^2 + x + 1", "x^2 - 35", "x^5 - x - 1", "15*x^3 - 45*x + 15"]
+    # discriminant (5 and 7, then 19 and 151 of 2869, then 3 to 23), or both
+    # (3 and 5, then 3 to 11); the shared prime list starts empty and each
+    # budget order grows it differently, which no result may show
+    cases = ["15*x^2 + x + 1", "x^2 - 35", "x^5 - x - 1", "15*x^3 - 45*x + 15",
+             "x^2 - 111546435", "1155*x^2 + 1"]
     sieved = _sieve(10_000)
-    for text in cases:
-        f = parse_poly(text)
-        disc = discriminant(f)
-        expected = [p for p in sieved if p >= 3 and f.lc % p and disc % p]
-        for budget in (1, 40, 1000):
-            assert probe.sample_primes(f, disc, budget) == expected[:budget], (text, budget)
+    for budgets in ((1000, 1, 40), (1, 40, 1000), (40, 1000, 1)):
+        monkeypatch.setattr(probe, "_ODD_PRIMES", [])
+        for text in cases:
+            f = parse_poly(text)
+            disc = discriminant(f)
+            expected = [p for p in sieved if p >= 3 and f.lc % p and disc % p]
+            for budget in budgets:
+                assert probe.sample_primes(f, disc, budget) == expected[:budget], (text, budget)
+                grown = probe._ODD_PRIMES
+                assert grown == [p for p in sieved if 3 <= p <= grown[-1]]
+
+
+def test_sample_primes_grows_the_shared_list_once_under_threads(monkeypatch):
+    monkeypatch.setattr(probe, "_ODD_PRIMES", [])
+    polys = [parse_poly(t) for t in ("x^5 - x - 1", "x^2 - 111546435", "1155*x^2 + 1",
+                                     "x^6 - 2*x^4 + 3*x - 7")] * 2
+    discs = [discriminant(f) for f in polys]
+    results = [None] * len(polys)
+
+    def sample(i):
+        results[i] = probe.sample_primes(polys[i], discs[i], 300)
+
+    threads = [threading.Thread(target=sample, args=(i,)) for i in range(len(polys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    sieved = _sieve(10_000)
+    for f, disc, got in zip(polys, discs, results):
+        assert got == [p for p in sieved if p >= 3 and f.lc % p and disc % p][:300], f
+    grown = probe._ODD_PRIMES
+    assert grown == [p for p in sieved if 3 <= p <= grown[-1]]
 
 
 def test_composite_degree_needs_primitivity_certificate():
