@@ -34,6 +34,9 @@ USAGE_EXIT = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    # the top parser's subcommand name -> subparser, set by `build_parser`
+    commands: dict[str, _Parser]
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -299,6 +302,7 @@ def build_parser() -> _Parser:
                      description="certified endomorphism-ring verdicts for "
                                  "superelliptic jacobians")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_group_args(p, need_p=True):
         p.add_argument("--group", help="group tag: S, A, M11..M24, PSL2(q), U3(q)")
@@ -354,7 +358,17 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # what the top parser does with a leading subcommand, without first
+        # scanning the whole of argv itself
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     if getattr(args, "command", None) in ("analyze", "heart") and not (
         getattr(args, "group", None) or getattr(args, "group_file", None)
         or getattr(args, "poly", None)

@@ -262,6 +262,7 @@ class PermGroup:
         self.order = self.chain.order()
         self._elements: tuple[Perm, ...] | None = None
         self._stabilizer: PermGroup | None = None
+        self._transitive: bool | None = None
         self._doubly_transitive: bool | None = None
         # subgroup index d -> generators of a witness, or None if there is none
         self._index_witnesses: dict[int, tuple[Perm, ...] | None] = {}
@@ -304,7 +305,10 @@ class PermGroup:
         return sorted(seen)
 
     def is_transitive(self) -> bool:
-        return self.degree >= 1 and len(self.orbit(0)) == self.degree
+        """One orbit on the points; the answer is kept on the group."""
+        if self._transitive is None:
+            self._transitive = self.degree >= 1 and len(self.orbit(0)) == self.degree
+        return self._transitive
 
     def is_doubly_transitive(self) -> bool:
         """Orbit count on ordered pairs of distinct points equals 1; the

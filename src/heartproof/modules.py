@@ -26,6 +26,13 @@ undecided runs them on every call. All attempts together stop at
 `ATTEMPTS`. At most `MEMO_BYTES` are kept, oldest entry first, and an entry
 larger than that alone is not kept. A result is frozen, and the arrays of a
 verdict the memo holds are read-only, since every later caller shares them.
+
+Hearts share that memo and its budget, keyed by the value (generators,
+degree, p), never by the group, so that the memo keeps no evicted group or
+its stabilizer chain alive. A heart's entry holds only its content key: each
+call wraps the key's bytes in read-only matrices, and the MeatAxe and the
+commutant look the module up by that key without serialising it again. The
+prime check and the intransitive-action warning run on every call.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
@@ -75,6 +82,9 @@ class GModule:
 class HeartModule(GModule):
     n: int = 0
     kind: str = "hyperplane"  # or "quotient" when p | n
+    # the memo key of gen_matrices, made once by `heart`, whose matrices are
+    # read-only views of the key's bytes
+    content: tuple | None = field(default=None, repr=False)
 
 
 def heart_matrix(g: Perm, p: int) -> np.ndarray:
@@ -101,15 +111,25 @@ def heart_matrix(g: Perm, p: int) -> np.ndarray:
 
 
 def heart(g: PermGroup, p: int) -> HeartModule:
-    """The heart of the permutation representation of g over F_p."""
+    """The heart of the permutation representation of g over F_p, kept in
+    the memo under the value (generators, degree, p) (module docstring)."""
     n = g.degree
     _require_odd_prime(p, n - 1)  # n - 1 bounds the heart's dimension
     if not g.is_transitive():
         warnings.warn("heart of an intransitive action; dimension laws still apply", stacklevel=2)
     kind = "quotient" if n % p == 0 else "hyperplane"
-    dim = n - 2 if kind == "quotient" else n - 1
-    mats = [heart_matrix(x, p) for x in g.generators]
-    return HeartModule(g, p, dim, mats, n=n, kind=kind)
+    index = (g.generators, n, p)
+    kept = _MEMO.entries.get(index)
+    if kept is None:
+        dim = n - 2 if kind == "quotient" else n - 1
+        content = _content(GModule(None, p, dim, [heart_matrix(x, p) for x in g.generators]))
+        # per generator: its n pointers, and the headers of its tuple and of
+        # its matrix's tuple, shape and bytes, measured with tracemalloc
+        nbytes = _key_bytes(content) + (8 * n + 256) * len(g.generators)
+        kept = _MEMO.keep(index, _Heart(content, nbytes))
+    content = kept.content
+    mats = [np.frombuffer(b, dtype).reshape(shape) for dtype, shape, b in content[2]]
+    return HeartModule(g, p, content[1], mats, n=n, kind=kind, content=content)
 
 
 def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
@@ -192,18 +212,28 @@ class _Found:
     commutant: int | None = None
 
 
+@dataclass
+class _Heart:
+    """A heart's content key, whose bytes hold its matrices, and the
+    entry's bytes."""
+
+    content: tuple
+    nbytes: int
+
+
 class _Memo:
-    """Module content -> `_Found`, at most `MEMO_BYTES` of it, oldest dropped
-    first. Not locked: heartproof calls the MeatAxe from one thread."""
+    """Module content -> `_Found` and (generators, degree, p) -> `_Heart`,
+    at most `MEMO_BYTES` of both, oldest dropped first. A content key starts
+    with p and a heart's with a tuple, so the two never meet. Not locked:
+    heartproof calls the MeatAxe from one thread."""
 
     def __init__(self):
-        self.entries: OrderedDict[tuple, _Found] = OrderedDict()
+        self.entries: OrderedDict[tuple, _Found | _Heart] = OrderedDict()
         self.nbytes = 0
 
     def add(self, key: tuple, verdict: IrreducibilityResult | None) -> _Found:
-        """Keep `verdict` under `key`, unless its entry alone exceeds
-        `MEMO_BYTES`; either way return the entry."""
-        nbytes = _OBJECT_BYTES + sum(len(x) for *_, x in key[2])
+        """Keep `verdict` under `key` and return its entry."""
+        nbytes = _key_bytes(key)
         if verdict is not None:
             arrays = [x for x in (verdict.invariant_subspace, verdict.null_space, verdict.basis)
                       if x is not None]
@@ -211,14 +241,18 @@ class _Memo:
                 x.flags.writeable = False
             # a recipe step is a tuple of two small ints: 64 bytes
             nbytes += sum(x.nbytes for x in arrays) + 64 * len(verdict.recipe or ())
-        found = _Found(verdict, nbytes)
-        if nbytes <= MEMO_BYTES:
-            self.entries[key] = found
-            self.nbytes += nbytes
+        return self.keep(key, _Found(verdict, nbytes))
+
+    def keep(self, key: tuple, entry: _Found | _Heart):
+        """Keep `entry` under `key`, unless it alone exceeds `MEMO_BYTES`;
+        either way return it."""
+        if entry.nbytes <= MEMO_BYTES:
+            self.entries[key] = entry
+            self.nbytes += entry.nbytes
             while self.nbytes > MEMO_BYTES:
                 _, old = self.entries.popitem(last=False)
                 self.nbytes -= old.nbytes
-        return found
+        return entry
 
 
 _MEMO = _Memo()
@@ -226,9 +260,19 @@ _MEMO = _Memo()
 
 def _content(module: GModule) -> tuple:
     """The memo key: p, the dimension and each generator matrix's dtype,
-    shape and bytes, which the dict compares in full."""
+    shape and bytes, which the dict compares in full. A heart carries the
+    key `heart` made."""
+    content = getattr(module, "content", None)
+    if content is not None:
+        return content
     return module.p, module.dim, tuple((m.dtype.str, m.shape, m.tobytes())
                                        for m in module.gen_matrices)
+
+
+def _key_bytes(content: tuple) -> int:
+    """The bytes counted for an entry's content key: the matrices' bytes,
+    and `_OBJECT_BYTES` for the Python objects around the entry."""
+    return _OBJECT_BYTES + sum(len(b) for *_, b in content[2])
 
 
 def _random_algebra_element(mats: list[np.ndarray], p: int, rng: random.Random) -> np.ndarray:

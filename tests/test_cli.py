@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import heartproof
+from heartproof import cli
 from heartproof.cli import main, parse_group_tag
 from heartproof.perm import MAX_DEGREE
 from heartproof.weights import MAX_PROFILE_Q, MAX_R
@@ -67,7 +68,7 @@ def test_analyze_usage_error(capsys):
     assert code == 64
 
 
-def test_parser_is_reused_across_calls(capsys):
+def test_parser_is_reused_across_calls(monkeypatch, capsys):
     # one parser serves every in-process call: a usage error leaves no state
     # behind, and each call's options start from their defaults
     first = run_cli(["analyze", "--group", "S", "--n", "7", "--p", "11"], capsys)
@@ -78,6 +79,46 @@ def test_parser_is_reused_across_calls(capsys):
     assert run_cli(["analyze", "--group", "S", "--n", "7", "--p", "11"], capsys) == first
     code, out, _ = run_cli(["weights", "--n", "5", "--p", "3"], capsys)
     assert code == 0 and out
+    # the subcommand path and the full parser's path both use that parser,
+    # and neither leaves state for the other
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert run_cli(["weights", "--n", "5", "--p", "3", "extra"], capsys)[0] == 64
+    assert run_cli(["--p", "3", "weights", "--n", "5"], capsys)[0] == 64
+    assert run_cli(["weights", "--n", "5", "--p", "3"], capsys) == (code, out, "")
+    assert run_cli(["analyze", "--group", "S", "--n", "7", "--p", "11"], capsys) == first
+
+
+def full_parser_main(argv):
+    """`main` as it ran before it dispatched on a leading subcommand: every
+    argv through the whole parser."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "command", None) in ("analyze", "heart") and not (
+        getattr(args, "group", None) or getattr(args, "group_file", None)
+        or getattr(args, "poly", None)
+    ):
+        parser.error("one of --group, --group-file or --poly is required")
+    return args.func(args)
+
+
+PARSE_ARGVS = [
+    *[[name, "--help"] for name in cli.build_parser().commands], ["--help"], [],
+    ["frobnicate"], ["heart", "--group", "A", "--n", "5"],
+    ["heart", "--group", "A", "--n", "5", "--p", "x"], ["heart", "--p", "7"],
+    ["probe", "--poly", "x^5 - x - 1", "--budget", "0"],
+    ["weights", "--n", "5", "--p", "7", "extra"], ["--p", "7", "weights", "--n", "5"],
+    ["weights", "--n", "5", "--p", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parse_path_prints_what_the_full_parser_prints(argv, capsys):
+    got = run_cli(argv, capsys)
+    try:
+        code = full_parser_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert got == (code, *capsys.readouterr())
 
 
 def test_analyze_refuses_p_beyond_the_proven_prime_test(capsys):
@@ -318,13 +359,25 @@ def test_seed_env_override(monkeypatch, capsys):
 
 
 def test_console_entry_point():
-    # the child imports the heartproof this process imported, installed or not
+    # the child imports the heartproof this process imported, installed or
+    # not, and `main` reads its argv from sys.argv
     path = [str(Path(heartproof.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run([sys.executable, "-m", "heartproof.cli", "weights",
-                           "--n", "5", "--p", "7"], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("HEARTPROOF_SEED", None)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "heartproof.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
+    proc = run("weights", "--n", "5", "--p", "7")
     assert proc.returncode == 0
     assert "genus 12" in proc.stdout
+    proc = run("heart", "--group", "A", "--n", "5", "--p", "7")
+    assert proc.returncode == 0
+    assert proc.stdout == (Path(__file__).parent / "golden" / "heart_a5_f7.txt").read_text()
+    proc = run("heart", "--group", "A", "--n", "5")
+    assert proc.returncode == 64
+    assert "the following arguments are required: --p" in proc.stderr
 
 
 @pytest.mark.parametrize("group, p, golden", [

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,8 @@ def cyclic5():
 
 
 def forget_meataxe(monkeypatch):
-    """An empty MeatAxe memo, so that what follows is computed afresh."""
+    """An empty module memo, without verdicts or hearts, so that what
+    follows is computed afresh."""
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
 
 
@@ -70,8 +73,80 @@ def test_heart_examples():
 
 def test_heart_warns_intransitive():
     g = PermGroup([perm.parse_perm("(0 1)", 5)], 5)
-    with pytest.warns(UserWarning):
-        heart(g, 3)
+    # the second call is a memo hit, and warns all the same
+    for _ in range(2):
+        with pytest.warns(UserWarning):
+            heart(g, 3)
+
+
+def count_heart_matrix(monkeypatch) -> list[int]:
+    """Count the calls of `heart_matrix` from now on, in calls[0]."""
+    calls = [0]
+
+    def counted(*args, _f=heart_matrix):
+        calls[0] += 1
+        return _f(*args)
+
+    monkeypatch.setattr(modules, "heart_matrix", counted)
+    return calls
+
+
+def test_heart_is_memoised_by_the_generators(monkeypatch):
+    forget_meataxe(monkeypatch)
+    calls = count_heart_matrix(monkeypatch)
+    g = mathieu_group(11)
+    first = heart(g, 5)
+    assert calls == [len(g.generators)]
+    # an equal group built afresh hits the same entry, and is the one returned
+    same = PermGroup(list(g.generators), g.degree)
+    again = heart(same, 5)
+    assert calls == [len(g.generators)] and again.group is same and first.group is g
+    assert again.content is first.content and (again.dim, again.kind) == (10, "hyperplane")
+    for m in again.gen_matrices:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 1
+    forget_meataxe(monkeypatch)
+    fresh = heart(g, 5)
+    assert calls == [2 * len(g.generators)]
+    assert all(np.array_equal(a, b) for a, b in zip(again.gen_matrices, fresh.gen_matrices))
+    assert [heart_matrix(x, 5).tolist() for x in g.generators] == [
+        m.tolist() for m in fresh.gen_matrices]
+
+
+def test_heart_memo_keys_by_value_and_keeps_no_group(monkeypatch):
+    forget_meataxe(monkeypatch)
+    g = alternating_group(6)
+    heart(g, 7)
+    # the same group on other point names gets its own entry
+    relabelled = PermGroup([perm.conjugate(x, (1, 0, 3, 5, 2, 4)) for x in g.generators], 6)
+    assert relabelled.generators != g.generators and relabelled.order == g.order
+    h = heart(relabelled, 7)
+    assert len(modules._MEMO.entries) == 2
+    assert [m.tolist() for m in h.gen_matrices] == [
+        heart_matrix(x, 7).tolist() for x in relabelled.generators]
+    # the key holds the generators' values, never the group
+    alive = weakref.ref(relabelled)
+    del relabelled, h
+    gc.collect()
+    assert alive() is None
+
+
+def test_heart_memo_shares_the_verdicts_budget(monkeypatch):
+    a5, m24 = alternating_group(5), mathieu_group(24)
+    forget_meataxe(monkeypatch)
+    is_irreducible(heart(a5, 7))
+    # room for the A5 heart and its verdict: the M24 heart alone is larger
+    monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
+    calls = count_heart_matrix(monkeypatch)
+    first, again = heart(m24, 5), heart(m24, 5)
+    assert calls == [2 * len(m24.generators)]
+    assert len(modules._MEMO.entries) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(first.gen_matrices, again.gen_matrices))
+    # a new heart and its verdict push out the oldest entries, the A5 heart first
+    is_irreducible(heart(symmetric_group(5), 7))
+    memo = modules._MEMO
+    assert (a5.generators, 5, 7) not in memo.entries
+    assert memo.nbytes == sum(e.nbytes for e in memo.entries.values()) <= modules.MEMO_BYTES
 
 
 def test_word_relation_soundness():
@@ -328,8 +403,9 @@ def test_meataxe_results_are_read_only():
 
 
 def test_meataxe_memo_evicts_the_oldest_entry(monkeypatch):
-    forget_meataxe(monkeypatch)
     old, new = heart(mathieu_group(11), 5), heart(alternating_group(5), 7)
+    # emptied after the hearts were kept, so that it holds verdicts alone
+    forget_meataxe(monkeypatch)
     r = is_irreducible(old)
     # room for the older, larger entry alone
     monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
@@ -343,8 +419,8 @@ def test_meataxe_memo_evicts_the_oldest_entry(monkeypatch):
 
 
 def test_meataxe_memo_keeps_its_entries_past_an_oversize_one(monkeypatch):
-    forget_meataxe(monkeypatch)
     small, big = heart(alternating_group(5), 7), heart(mathieu_group(11), 5)
+    forget_meataxe(monkeypatch)
     s = is_irreducible(small)
     # room for the small entry alone: the larger one does not fit even by itself
     monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
