@@ -4,8 +4,9 @@ Subcommands: analyze (scenario -> certified verdict), heart, weights,
 group, probe, fixtures. Exit codes for analyze: 0 conclusive, 2
 inconclusive, 1 error, 64 usage. All reports are stable text: integer
 quantities only, sorted or fixed ordering throughout, so outputs are
-byte-reproducible for golden tests. HEARTPROOF_SEED overrides the default
-randomness seed.
+byte-reproducible for golden tests. HEARTPROOF_SEED overrides --seed,
+which a certificate records; no computation reads it, since the MeatAxe is
+seed-free.
 """
 
 from __future__ import annotations
@@ -146,20 +147,18 @@ def _cmd_heart(args) -> int:
     try:
         g = _concrete_group(args)
         h = modules.heart(g, args.p)
-    except ValueError as exc:
+        result = modules.is_irreducible(h)
+    except (ValueError, modules.RandomnessExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    seed = int(os.environ.get("HEARTPROOF_SEED", args.seed))
     print(f"group: {g.tag.describe()} on {g.degree} points, order {g.order}")
     print(f"heart: dimension {h.dim} ({h.kind}) over F_{args.p}")
-    result = modules.is_irreducible(h, seed=seed)
-    absolute = simplicity.absolute_simplicity(g, args.p, seed, meataxe=(h, result))
     if result.irreducible:
-        print(f"irreducible: yes (commutant dimension {absolute.commutant_dim})")
+        print(f"irreducible: yes (commutant dimension {modules.commutant_dim(h, result)})")
     else:
         print(f"irreducible: no (invariant subspace of dimension "
               f"{result.invariant_subspace.shape[0]})")
-    v = simplicity.decide_heart_simplicity(g, g.tag, args.p, seed=seed, absolute=absolute)
+    v = simplicity.decide_heart_simplicity(g, g.tag, args.p)
     print(f"simplicity verdict: {v.level.name}")
     for item in v.evidence:
         print(f"  [{item.kind}] {item.statement}")

@@ -266,6 +266,8 @@ class PermGroup:
         self._doubly_transitive: bool | None = None
         # subgroup index d -> generators of a witness, or None if there is none
         self._index_witnesses: dict[int, tuple[Perm, ...] | None] = {}
+        # `subgroup_classes(self)`, once computed
+        self._subgroup_classes: list[SubgroupClass] | None = None
 
     def __contains__(self, g) -> bool:
         return self.chain.contains(tuple(g))
@@ -665,9 +667,8 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
     if g.order > SUBGROUP_ENUM_THRESHOLD:
         raise TooLarge(f"|G| = {g.order} exceeds enumeration threshold "
                        f"{SUBGROUP_ENUM_THRESHOLD}")
-    cached = getattr(g, "_subgroup_classes", None)
-    if cached is not None:
-        return cached
+    if g._subgroup_classes is not None:
+        return g._subgroup_classes
     elements = list(g.elements())
     whole = frozenset(elements)
     degree = g.degree

@@ -15,17 +15,14 @@ which keeps the null space and the standard basis the MeatAxe spun.
 Both are memoised per process, by the module's exact content: p, the
 dimension and the dtype, shape and bytes of each generator matrix, compared
 in full, so a hash collision cannot hand out another module's verdict. The
-first attempts form a seed-free prefix: the generator matrices themselves,
-then the first `SEED_FREE_DRAWS` random elements drawn from Random(0). The
+search is seed-free: it tries the generator matrices themselves, then random
+elements drawn from one Random(0) stream, at most `ATTEMPTS` in all. The
 monic irreducible factors of a charpoly are unique and are tried in one
-fixed order, whichever seed split them, so the prefix's verdict is kept once
-for every seed, with its commutant dimension. Later attempts draw from
-Random(seed) after skipping its first `SEED_FREE_DRAWS` draws, so seed 0
-tries exactly the elements it always tried; a module the prefix leaves
-undecided runs them on every call. All attempts together stop at
-`ATTEMPTS`. At most `MEMO_BYTES` are kept, oldest entry first, and an entry
-larger than that alone is not kept. A result is frozen, and the arrays of a
-verdict the memo holds are read-only, since every later caller shares them.
+fixed order, so the verdict is a function of the module, and the memo keeps
+it once, with its commutant dimension. At most `MEMO_BYTES` are kept, oldest
+entry first, and an entry larger than that alone is not kept. A result is
+frozen, and the arrays of a verdict the memo holds are read-only, since
+every later caller shares them.
 
 Hearts share that memo and its budget, keyed by the value (generators,
 degree, p), never by the group, so that the memo keeps no evicted group or
@@ -41,7 +38,7 @@ import random
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -53,7 +50,7 @@ from .perm import Perm
 
 
 class RandomnessExhausted(RuntimeError):
-    """MeatAxe ran out of attempts; retry with a different seed."""
+    """MeatAxe ran out of attempts: `ATTEMPTS` elements decided nothing."""
 
 
 class BadCongruence(ValueError):
@@ -188,14 +185,8 @@ class IrreducibilityResult:
 # Bytes the MeatAxe memo keeps at most: about 170 hearts of dimension 20 on
 # two generators fit, and no run of new modules grows the process past it.
 MEMO_BYTES = 2 * 2**20
-# MeatAxe attempts per call, the seed-free prefix included.
+# MeatAxe attempts per search, the generator matrices included.
 ATTEMPTS = 200
-# Random draws in the seed-free prefix, after the generator matrices. A first
-# touch runs the whole prefix, and every seed shares it, so it is kept small
-# against `ATTEMPTS`: a module the prefix leaves undecided still gets
-# 192 - len(gens) draws of each seed's own, which is what a retry with
-# another seed is for.
-SEED_FREE_DRAWS = 8
 # Python objects around each entry kept (result, tuples, array headers, dict
 # slots), measured with tracemalloc; the matrices and arrays are counted exactly.
 _OBJECT_BYTES = 1536
@@ -203,11 +194,10 @@ _OBJECT_BYTES = 1536
 
 @dataclass
 class _Found:
-    """The seed-free prefix's verdict for one module content (None if the
-    prefix left it undecided), the entry's bytes, and the verdict's
-    commutant dimension, None until computed."""
+    """The MeatAxe verdict for one module content, the entry's bytes, and
+    the verdict's commutant dimension, None until computed."""
 
-    verdict: IrreducibilityResult | None
+    verdict: IrreducibilityResult
     nbytes: int
     commutant: int | None = None
 
@@ -231,16 +221,15 @@ class _Memo:
         self.entries: OrderedDict[tuple, _Found | _Heart] = OrderedDict()
         self.nbytes = 0
 
-    def add(self, key: tuple, verdict: IrreducibilityResult | None) -> _Found:
+    def add(self, key: tuple, verdict: IrreducibilityResult) -> _Found:
         """Keep `verdict` under `key` and return its entry."""
-        nbytes = _key_bytes(key)
-        if verdict is not None:
-            arrays = [x for x in (verdict.invariant_subspace, verdict.null_space, verdict.basis)
-                      if x is not None]
-            for x in arrays:
-                x.flags.writeable = False
-            # a recipe step is a tuple of two small ints: 64 bytes
-            nbytes += sum(x.nbytes for x in arrays) + 64 * len(verdict.recipe or ())
+        arrays = [x for x in (verdict.invariant_subspace, verdict.null_space, verdict.basis)
+                  if x is not None]
+        for x in arrays:
+            x.flags.writeable = False
+        # a recipe step is a tuple of two small ints: 64 bytes
+        nbytes = (_key_bytes(key) + sum(x.nbytes for x in arrays)
+                  + 64 * len(verdict.recipe or ()))
         return self.keep(key, _Found(verdict, nbytes))
 
     def keep(self, key: tuple, entry: _Found | _Heart):
@@ -286,12 +275,12 @@ def _random_algebra_element(mats: list[np.ndarray], p: int, rng: random.Random) 
     return a
 
 
-def _attempt(a: np.ndarray, attempt: int, mats: list[np.ndarray], p: int,
-             seed: int) -> IrreducibilityResult | None:
+def _attempt(a: np.ndarray, attempt: int, mats: list[np.ndarray],
+             p: int) -> IrreducibilityResult | None:
     """One MeatAxe attempt on the algebra element a: a verdict, or None."""
     dim = len(a)
     cp = linalg.charpoly(a, p)
-    factors = gfpoly.factor_squarefree(gfpoly.squarefree_part(cp, p), p, seed=seed)
+    factors = gfpoly.factor_squarefree(gfpoly.squarefree_part(cp, p), p)
     for f in sorted(factors, key=lambda f: (len(f), f)):
         fa = linalg.poly_of_matrix(f, a, p)
         null_rows = kernel_basis(fa.T, p)
@@ -311,16 +300,15 @@ def _attempt(a: np.ndarray, attempt: int, mats: list[np.ndarray], p: int,
     return None
 
 
-def is_irreducible(module: GModule, seed: int = 0) -> IrreducibilityResult:
+def is_irreducible(module: GModule) -> IrreducibilityResult:
     """MeatAxe with Norton's criterion.
 
     Reducible verdicts carry an explicit invariant subspace. Irreducible
     verdicts require an algebra element A and an irreducible charpoly
     factor f with nullity(f(A)) = deg f whose null vector spins up to the
     whole module in both the module and its dual. Attempts 0, 1, ... take
-    the generator matrices, then the first `SEED_FREE_DRAWS` random elements
-    of seed 0, then random elements drawn from `seed`, up to `ATTEMPTS` in
-    all. The prefix's verdict is memoised (module docstring).
+    the generator matrices, then random elements drawn from Random(0), up to
+    `ATTEMPTS` in all. The verdict is memoised (module docstring).
     """
     p, dim, mats = module.p, module.dim, module.gen_matrices
     if dim < 1:
@@ -333,25 +321,16 @@ def is_irreducible(module: GModule, seed: int = 0) -> IrreducibilityResult:
     found = _MEMO.entries.get(key)
     if found is None:
         rng = random.Random(0)
-        drawn = (_random_algebra_element(mats, p, rng) for _ in range(SEED_FREE_DRAWS))
-        verdict = None
+        drawn = (_random_algebra_element(mats, p, rng) for _ in count())
         for attempt, a in enumerate(islice(chain(mats, drawn), ATTEMPTS)):
-            # seed 0: every seed gives the same factors, tried in the same order
-            verdict = _attempt(a, attempt, mats, p, seed=0)
+            verdict = _attempt(a, attempt, mats, p)
             if verdict is not None:
                 break
+        else:
+            raise RandomnessExhausted(f"no singular element of minimal nullity in {ATTEMPTS} "
+                                      "attempts (modules.ATTEMPTS)")
         found = _MEMO.add(key, verdict)
-    if found.verdict is not None:
-        return found.verdict
-    rng = random.Random(seed)
-    # skip what the prefix drew, so that seed 0 goes on where it stopped
-    for _ in range(SEED_FREE_DRAWS):
-        _random_algebra_element(mats, p, rng)
-    for attempt in range(len(mats) + SEED_FREE_DRAWS, ATTEMPTS):
-        result = _attempt(_random_algebra_element(mats, p, rng), attempt, mats, p, seed)
-        if result is not None:
-            return result
-    raise RandomnessExhausted(f"no singular element of minimal nullity in {ATTEMPTS} attempts")
+    return found.verdict
 
 
 def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
@@ -517,7 +496,7 @@ class Sl2F5Pair:
     quotient_degree5: PermGroup
 
 
-def sl2f5_two_dim_reps(p: int, seed: int = 0) -> Sl2F5Pair:
+def sl2f5_two_dim_reps(p: int) -> Sl2F5Pair:
     """Two non-isomorphic absolutely irreducible 2-dim modules over F_p.
 
     Requires p = +-1 mod 5 and p > 5, so that the golden-ratio traces

@@ -214,10 +214,7 @@ _VERY_SIMPLE = {
 }
 
 
-def decide_heart_simplicity(
-    g: PermGroup | None, tag: GroupTag, p: int, seed: int = 0,
-    absolute: SimplicityVerdict | None = None,
-) -> SimplicityVerdict:
+def decide_heart_simplicity(g: PermGroup | None, tag: GroupTag, p: int) -> SimplicityVerdict:
     """The cited family theorems first, else computation; UNKNOWN rather than
     a silent guess.
 
@@ -226,8 +223,7 @@ def decide_heart_simplicity(
     recomputed obstructions, where it has one, else as central simple from
     the record's table facts. Everything else falls back to
     `absolute_simplicity` and the index criterion, which need a concrete
-    group: g, or else the one the record builds. `absolute` is the caller's
-    `absolute_simplicity` verdict for g, if it already has one.
+    group: g, or else the one the record builds.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
@@ -244,36 +240,27 @@ def decide_heart_simplicity(
         return SimplicityVerdict(Level.UNKNOWN).attach(
             "diagnostic", f"{tag.describe()} is outside the cited modular table "
                           "and no concrete group is given")
-    return _computed_verdict(g, p, seed, absolute)
+    return _computed_verdict(g, p)
 
 
-def absolute_simplicity(
-    g: PermGroup, p: int, seed: int = 0,
-    meataxe: tuple[modules.HeartModule, modules.IrreducibilityResult] | None = None,
-) -> SimplicityVerdict:
+def absolute_simplicity(g: PermGroup, p: int) -> SimplicityVerdict:
     """NOT_SIMPLE, SIMPLE or ABSOLUTELY_SIMPLE for the heart of a concrete group.
 
     The shortcut answers first, else the MeatAxe and the commutant, whose
-    dimension is recorded. `meataxe` is a (heart, `modules.is_irreducible`
-    result) pair the caller already has: it replaces the MeatAxe run, and
-    its commutant dimension is recorded even when the shortcut answers.
+    dimension is recorded; both are memo lookups for a heart seen before.
     """
     short = abs_irred_shortcut(g, p)
-    if meataxe is None:
-        if short is not None:
-            return short
-        h = modules.heart(g, p)
-        meataxe = h, modules.is_irreducible(h, seed=seed)
-    h, result = meataxe
+    if short is not None:
+        return short
+    h = modules.heart(g, p)
+    result = modules.is_irreducible(h)
     if not result.irreducible:
         rows = [[int(x) for x in row] for row in result.invariant_subspace]
         v = SimplicityVerdict(Level.NOT_SIMPLE, witness_subspace=rows)
         return v.attach("computation", f"invariant subspace of dimension {len(rows)} "
                                        f"inside the {h.dim}-dimensional heart")
     cdim = modules.commutant_dim(h, result)
-    if short is not None:
-        v = short
-    elif cdim != 1:
+    if cdim != 1:
         v = SimplicityVerdict(Level.SIMPLE)
         v.attach("computation", f"heart irreducible but commutant has dimension {cdim} > 1")
     else:
@@ -283,11 +270,9 @@ def absolute_simplicity(
     return v
 
 
-def _computed_verdict(g: PermGroup, p: int, seed: int,
-                      base: SimplicityVerdict | None) -> SimplicityVerdict:
+def _computed_verdict(g: PermGroup, p: int) -> SimplicityVerdict:
     """`absolute_simplicity`, then the index criterion."""
-    if base is None:
-        base = absolute_simplicity(g, p, seed)
+    base = absolute_simplicity(g, p)
     if base.level != Level.ABSOLUTELY_SIMPLE:
         return base
     n_bound = heart_dim(g.degree, p)

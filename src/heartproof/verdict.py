@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
 
-from . import perm, probe, simplicity
+from . import modules, perm, probe, simplicity
 from .fields import PRIME_TEST_LIMIT, is_prime
 from .groups import (
     DOUBLY_TRANSITIVE,
@@ -34,7 +33,7 @@ from .groups import (
     exists_subgroup_of_index_dividing,
     family_heart_table,
 )
-from .simplicity import Level, SimplicityVerdict
+from .simplicity import Level
 from .weights import MAX_R, heart_dim
 
 SCHEMA_VERSION = 1
@@ -52,7 +51,8 @@ class Scenario:
     group_source is 'tag', 'custom' (explicit generators, cycle notation),
     or 'poly' (integer polynomial to probe). assume_zeta asserts that the
     base field contains a primitive q-th root of unity; for simple
-    nonabelian family tags the dispatcher supplies that for free.
+    nonabelian family tags the dispatcher supplies that for free. seed is
+    recorded in the certificate; no route reads it.
     """
 
     n: int
@@ -260,16 +260,19 @@ def _check_index_condition(info: _GroupInfo, bound: int) -> Check:
     return "table" if source == "table" else "computed", not exists, why
 
 
-def _check_heart_abs_irred(s: Scenario, info: _GroupInfo,
-                           absolute: SimplicityVerdict | None) -> Check:
-    """Representation fact: tables for family tags, else `absolute`, the
-    `absolute_simplicity` verdict of a custom group (None without one)."""
+def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> Check:
+    """Representation fact: tables for family tags, else the
+    `absolute_simplicity` verdict of a custom group."""
     tag = info.tag
     if tag.family is not None:
         cited = family_heart_table(tag, s.p)
         return "table", True if cited else None, tag.family.heart(tag, cited)
-    if absolute is None:
+    if info.concrete is None:
         return "computed", None, "no concrete group to test"
+    try:
+        absolute = simplicity.absolute_simplicity(info.concrete, s.p)
+    except modules.RandomnessExhausted as exc:
+        return "computed", None, str(exc)
     if absolute.level == Level.NOT_SIMPLE:
         return ("computed", False,
                 f"invariant subspace of dimension {len(absolute.witness_subspace)}")
@@ -279,15 +282,14 @@ def _check_heart_abs_irred(s: Scenario, info: _GroupInfo,
             f"irreducible by the MeatAxe; commutant dimension {absolute.commutant_dim}")
 
 
-def _arithmetic_side_condition(s: Scenario, info: _GroupInfo,
-                               absolute: SimplicityVerdict | None) -> Check:
+def _arithmetic_side_condition(s: Scenario, info: _GroupInfo) -> Check:
     """The side condition of the generic route, as a single hypothesis.
 
     For r = 1: either n = p + 1 or p does not divide n - 1. For r > 1 the
     modulus is q; when the p- and q-versions would disagree, the detail
     records it. Otherwise a very simple heart satisfies the hypothesis as
-    the alternative branch of the theorem; `absolute` is the heart row's
-    verdict, so the MeatAxe does not run again.
+    the alternative branch of the theorem; the heart row's MeatAxe verdict
+    is then a memo lookup.
     """
     if s.r == 1:
         arith_ok = s.n == s.p + 1 or (s.n - 1) % s.p != 0
@@ -301,8 +303,7 @@ def _arithmetic_side_condition(s: Scenario, info: _GroupInfo,
                        f"{'pass' if p_version else 'fail'}")
     if arith_ok:
         return "arithmetic", True, detail
-    v = simplicity.decide_heart_simplicity(info.concrete, info.tag, s.p, seed=s.seed,
-                                           absolute=absolute)
+    v = simplicity.decide_heart_simplicity(info.concrete, info.tag, s.p)
     if v.level == Level.VERY_SIMPLE:
         return ("table" if info.tag.family is not None else "computed", True,
                 detail + "; arithmetic branch fails but the heart is very simple: "
@@ -367,26 +368,17 @@ def _route_coprime_order(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]
 
 def _route_index_criterion(s: Scenario, info: _GroupInfo) -> list[HypothesisCheck]:
     n_bound = heart_dim(s.n, s.p)
-
-    @cache
-    def absolute() -> SimplicityVerdict | None:
-        """The heart's `absolute_simplicity` verdict, shared by the heart row
-        and the very-simple fallback; family tags answer from their tables."""
-        if info.tag.family is not None or info.concrete is None:
-            return None
-        return simplicity.absolute_simplicity(info.concrete, s.p, s.seed)
-
     return _run_steps([
         (f"base field contains a primitive {s.q}-th root of unity", "assumed",
          lambda: _check_zeta(s, info)),
         ("heart of the permutation action is absolutely irreducible", "computed",
-         lambda: _check_heart_abs_irred(s, info, absolute())),
+         lambda: _check_heart_abs_irred(s, info)),
         (f"no maximal subgroup index divides {n_bound}", "computed",
          lambda: _check_index_condition(info, n_bound)),
         ("either n = p + 1, or p does not divide n - 1, or the heart is very simple"
          if s.r == 1 else
          "either q divides n, or n = q + 1, or q does not divide n - 1, or the heart is very simple",
-         "arithmetic", lambda: _arithmetic_side_condition(s, info, absolute())),
+         "arithmetic", lambda: _arithmetic_side_condition(s, info)),
     ])
 
 

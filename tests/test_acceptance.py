@@ -56,13 +56,13 @@ def test_criterion_2_absolute_irreducibility():
         for n in (5, 6, 7):
             for p in (3, 5, 7, 11, 13):
                 h = modules.heart(ctor(n), p)
-                r = modules.is_irreducible(h, seed=0)
+                r = modules.is_irreducible(h)
                 assert r.irreducible, (ctor, n, p)
                 assert modules.commutant_dim(h, r) == kronecker_commutant_dim(h) == 1, (ctor, n, p)
                 count += 1
     h = modules.heart(mathieu_group(11), 5)
     assert h.dim == 10
-    r = modules.is_irreducible(h, seed=0)
+    r = modules.is_irreducible(h)
     assert r.irreducible
     assert modules.commutant_dim(h, r) == kronecker_commutant_dim(h) == 1
     _report(2, f"absolute irreducibility on {count} S/A hearts + M11 over F_5", t0, 30)

@@ -401,18 +401,55 @@ def test_heart_output_golden(group, p, golden, tmp_path, monkeypatch, capsys):
 
 
 def test_heart_runs_one_meataxe(monkeypatch, capsys):
-    # the MeatAxe result the report prints is the one the verdict reuses
+    # the printed MeatAxe verdict and the simplicity verdict share one search
+    # and one commutant: from an empty memo the report runs the attempts of
+    # one fresh search, and the commutant once
     from heartproof import modules
+    from heartproof.groups import mathieu_group
 
-    calls = {"is_irreducible": 0, "commutant_dim": 0}
+    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
+    calls = {"_attempt": 0, "_commutant_dim": 0}
     for name in calls:
-        def counted(*args, _f=getattr(modules, name), _name=name, **kwargs):
+        def counted(*args, _f=getattr(modules, name), _name=name):
             calls[_name] += 1
-            return _f(*args, **kwargs)
+            return _f(*args)
         monkeypatch.setattr(modules, name, counted)
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+    modules.is_irreducible(modules.heart(mathieu_group(11), 3))
+    fresh = calls["_attempt"]
+    calls["_attempt"] = 0
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     code, out, _ = run_cli(["heart", "--group", "M11", "--p", "3"], capsys)
     assert code == 0 and "[computation] heart irreducible" in out
-    assert calls == {"is_irreducible": 1, "commutant_dim": 1}
+    assert fresh > 0 and calls == {"_attempt": fresh, "_commutant_dim": 1}
+
+
+@pytest.mark.parametrize("command", ["heart", "analyze"])
+def test_exhausted_meataxe_is_reported(command, tmp_path, monkeypatch, capsys):
+    # no attempt allowed: heart is an error, analyze leaves the heart row open
+    from heartproof import modules, verdict
+
+    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+    monkeypatch.setattr(modules, "ATTEMPTS", 0)
+    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+    path = tmp_path / "a5.txt"
+    path.write_text("(0 1 2)\n(0 1 2 3 4)\n")
+    exhausted = "no singular element of minimal nullity in 0 attempts (modules.ATTEMPTS)"
+    if command == "heart":
+        code, out, err = run_cli(["heart", "--group-file", str(path), "--p", "3"], capsys)
+        assert (code, out, err) == (1, "", f"error: {exhausted}\n")
+        return
+    argv = ["analyze", "--group-file", str(path), "--p", "3", "--assume-zeta"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and err == ""
+    assert out.endswith("note: route index_criterion_ring failed at: "
+                        "heart of the permutation action is absolutely irreducible\n")
+    s = verdict.Scenario(5, 3, 1, "custom", generators=("(0 1 2)", "(0 1 2 3 4)"),
+                         assume_zeta=True)
+    rows = verdict._route_index_criterion(s, verdict._resolve_group(s))
+    assert (rows[1].kind, rows[1].passed, rows[1].detail) == ("computed", None, exhausted)
+    assert all(r.detail.startswith("not evaluated") for r in rows[2:])
 
 
 def test_heart_seeds_share_the_seed_free_verdict(monkeypatch, capsys):

@@ -1,9 +1,11 @@
-"""Every function, class and method in src/heartproof has a caller there.
+"""Every function, class and method in src/heartproof has a caller there,
+and every name a module there imports is used in that module.
 
 A definition whose name appears nowhere else in src/ (as a name or an
 attribute) is code that only tests run: an independent reference route
 belongs beside tests/kronecker.py, and a wrapper belongs deleted. The few
-exceptions are listed below with their reasons.
+exceptions are listed below with their reasons. An import that its module
+never reads is left over from code that is gone.
 """
 
 import ast
@@ -40,3 +42,23 @@ def _definitions_without_a_caller() -> set[str]:
 
 def test_every_definition_in_src_has_a_caller_in_src():
     assert _definitions_without_a_caller() == set(ALLOWED)
+
+
+def _imports_without_a_use() -> set[str]:
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+        unused |= {f"{path.stem}.{name}" for name in imported - used}
+    return unused
+
+
+def test_every_import_in_src_is_used():
+    assert _imports_without_a_use() == set()

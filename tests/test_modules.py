@@ -285,11 +285,12 @@ def test_commutant_reads_the_certificate(monkeypatch):
 
 
 def test_meataxe_seed_determinism(monkeypatch):
+    """Two fresh searches give one certificate: the only randomness is Random(0)."""
     h = heart(mathieu_group(11), 5)
     forget_meataxe(monkeypatch)
-    a = is_irreducible(h, seed=1)
+    a = is_irreducible(h)
     forget_meataxe(monkeypatch)
-    b = is_irreducible(h, seed=1)
+    b = is_irreducible(h)
     assert a is not b
     assert a.irreducible and b.irreducible
     assert (a.attempt, a.factor, a.recipe) == (b.attempt, b.factor, b.recipe)
@@ -304,32 +305,28 @@ def psl2_16_heart(p):
 
 
 def memo_cases():
-    """(heart, seed): S10 and M11 at p = 5, the 7-cycle's at p = 11, PSL2(16)'s
-    at p = 3 under two seeds."""
+    """S10 and M11 at p = 5, the 7-cycle's at p = 11, PSL2(16)'s at p = 3."""
     seven = PermGroup([perm.parse_perm("(0 1 2 3 4 5 6)")], 7)
-    return [(heart(symmetric_group(10), 5), 0), (heart(mathieu_group(11), 5), 0),
-            (heart(seven, 11), 0), (psl2_16_heart(3), 0), (psl2_16_heart(3), 1)]
+    return [heart(symmetric_group(10), 5), heart(mathieu_group(11), 5), heart(seven, 11),
+            psl2_16_heart(3)]
 
 
 def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
-    # no seed-free draws: PSL2(16)'s random attempts run afresh on every call
-    monkeypatch.setattr(modules, "SEED_FREE_DRAWS", 0)
     forget_meataxe(monkeypatch)
     cases = memo_cases()
     first = []
-    for h, seed in cases:
-        r = is_irreducible(h, seed=seed)
+    for h in cases:
+        r = is_irreducible(h)
         first.append((r, commutant_dim(h, r) if r.irreducible else None))
-    # the 7-cycle's heart splits at p = 11; PSL2(16)'s two seeds certify differently
-    assert [r.irreducible for r, _ in first] == [True, True, False, True, True]
-    assert first[3][0].factor != first[4][0].factor
-    again = [is_irreducible(h, seed=seed) for h, seed in cases]
-    # the prefix's verdicts are memo hits, PSL2(16)'s per-seed results are not kept
-    assert [a is r for a, (r, _) in zip(again, first)] == [True, True, True, False, False]
-    for (h, seed), a, (_, cdim) in zip(cases, again, first):
+    # the 7-cycle's heart splits at p = 11; PSL2(16)'s is decided by a random draw
+    assert [r.irreducible for r, _ in first] == [True, True, False, True]
+    assert first[3][0].attempt == 4
+    again = [is_irreducible(h) for h in cases]
+    assert all(a is r for a, (r, _) in zip(again, first))
+    for h, a, (_, cdim) in zip(cases, again, first):
         a_cdim = commutant_dim(h, a) if a.irreducible else None
         forget_meataxe(monkeypatch)
-        fresh = is_irreducible(h, seed=seed)
+        fresh = is_irreducible(h)
         assert fresh is not a
         assert_same_result(a, fresh)
         if fresh.irreducible:
@@ -337,44 +334,56 @@ def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
 
 
 def test_meataxe_generator_verdicts_ignore_the_seed(monkeypatch):
-    """Verdicts of the seed-free prefix (generator matrices, then the first
-    SEED_FREE_DRAWS draws of seed 0) are one object for every seed."""
+    """A verdict is one object for every later call, equal to a fresh search,
+    and decided within the generator matrices and the first 8 draws: the
+    attempts every seed shared before the search became seed-free."""
     prefix_decided = [psl2_16_heart(3), psl2_16_heart(7), heart(psl2_group(5, 2), 3)]
-    for h in [h for h, _ in memo_cases()[:3]] + prefix_decided:
+    for h in memo_cases()[:3] + prefix_decided:
         forget_meataxe(monkeypatch)
-        base = is_irreducible(h, seed=0)
-        assert base.attempt is None or base.attempt < len(h.gen_matrices) + modules.SEED_FREE_DRAWS
-        # shared by every seed, and what each seed computes afresh
-        assert all(is_irreducible(h, seed=seed) is base for seed in range(10))
-        for seed in range(1, 10):
-            forget_meataxe(monkeypatch)
-            assert_same_result(is_irreducible(h, seed=seed), base)
-    # seed 0 tries the elements it tried without the prefix
+        base = is_irreducible(h)
+        assert base.attempt is None or base.attempt < len(h.gen_matrices) + 8
+        assert all(is_irreducible(h) is base for _ in range(10))
+        forget_meataxe(monkeypatch)
+        assert_same_result(is_irreducible(h), base)
     for h in prefix_decided:
+        assert is_irreducible(h).attempt >= len(h.gen_matrices)
+
+
+def test_meataxe_attempts_are_the_generators_then_one_random_0_stream(monkeypatch):
+    """Attempt k gets the k-th generator matrix, then the (k - len(gens))-th
+    `_random_algebra_element` of one Random(0), until one decides or
+    `ATTEMPTS` have run."""
+    attempt, seen = modules._attempt, []
+
+    def recorded(a, k, *rest, refuse_below):
+        seen.append((k, a))
+        return attempt(a, k, *rest) if k >= refuse_below else None
+
+    # (heart, attempts refused below, attempt that decides, or None)
+    for h, refuse_below, decided in [(psl2_16_heart(3), 0, 4), (psl2_16_heart(3), 25, 27),
+                                     (heart(mathieu_group(11), 5), 30, None)]:
+        monkeypatch.setattr(modules, "_attempt",
+                            lambda *args, r=refuse_below: recorded(*args, refuse_below=r))
+        monkeypatch.setattr(modules, "ATTEMPTS", 30)
         forget_meataxe(monkeypatch)
-        base = is_irreducible(h, seed=0)
-        assert base.attempt >= len(h.gen_matrices)
-        with monkeypatch.context() as m:
-            m.setattr(modules, "SEED_FREE_DRAWS", 0)
-            forget_meataxe(m)
-            assert_same_result(is_irreducible(h, seed=0), base)
-    # and after the prefix: with attempts below 7 refused, seed 0 decides at
-    # attempt 7 with the same element, whether the prefix holds it or not
-    attempt = modules._attempt
-    monkeypatch.setattr(modules, "_attempt",
-                        lambda a, k, *rest, **kw: attempt(a, k, *rest, **kw) if k >= 7 else None)
-    late = []
-    for draws in (0, 2, modules.SEED_FREE_DRAWS):
-        monkeypatch.setattr(modules, "SEED_FREE_DRAWS", draws)
-        forget_meataxe(monkeypatch)
-        late.append(is_irreducible(prefix_decided[0], seed=0))
-    assert late[0].attempt == 7
-    for r in late[1:]:
-        assert_same_result(r, late[0])
+        seen.clear()
+        if decided is None:
+            with pytest.raises(modules.RandomnessExhausted, match="in 30 attempts"):
+                is_irreducible(h)
+            attempts = 30
+        else:
+            assert is_irreducible(h).attempt == decided
+            attempts = decided + 1
+        mats = h.gen_matrices
+        rng = random.Random(0)
+        expected = mats + [modules._random_algebra_element(mats, h.p, rng)
+                           for _ in range(attempts - len(mats))]
+        assert [k for k, _ in seen] == list(range(attempts))
+        assert all(np.array_equal(a, b) for (_, a), b in zip(seen, expected))
 
 
 def test_meataxe_budget_bounds_memoised_attempts(monkeypatch):
-    """`ATTEMPTS` bounds all attempts, the seed-free prefix included."""
+    """`ATTEMPTS` bounds all attempts, the generator matrices included."""
     h, s10 = psl2_16_heart(3), heart(symmetric_group(10), 5)
     default = modules.ATTEMPTS
     for module, attempts in [(h, 4), (s10, 0)]:
@@ -451,16 +460,25 @@ def sweep_groups():
 
 
 def test_meataxe_prefix_decides_every_swept_heart(monkeypatch):
-    """The memo keeps no per-seed results because the seed-free prefix decides
-    every heart here; a heart it leaves undecided is named."""
+    """The generator matrices and the first 8 draws decide every heart here,
+    so every seed got the verdict of the seed-free search before it became
+    the only one; a heart that needs a later attempt is named."""
     forget_meataxe(monkeypatch)
     hearts = [heart(g, p) for g in sweep_groups() for p in (3, 5, 7, 11, 13)]
-    undecided = []
+    attempt, last = modules._attempt, []
+
+    def recorded(a, k, *rest):
+        last[-1] = k
+        return attempt(a, k, *rest)
+
+    monkeypatch.setattr(modules, "_attempt", recorded)
+    late = []
     for h in hearts:
+        last.append(None)
         is_irreducible(h)
-        if modules._MEMO.entries[modules._content(h)].verdict is None:
-            undecided.append((h.group.degree, h.group.order, h.p))
-    assert len(hearts) == 265 and undecided == []
+        if last[-1] is not None and last[-1] >= len(h.gen_matrices) + 8:
+            late.append((h.group.degree, h.group.order, h.p))
+    assert len(hearts) == 265 and late == []
 
 
 def test_tensor():

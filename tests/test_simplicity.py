@@ -151,7 +151,7 @@ def test_heart_table_same_answer_from_both_callers():
     outside = [(GroupTag.psl2(5, 2), 5), (GroupTag.psl2(3, 3), 3), (GroupTag.mathieu(11), 3)]
     for tag, p in _cited_pairs() + outside:
         s = verdict.Scenario(tag.n, p, 1, "tag", tag)
-        kind, passed, _ = verdict._check_heart_abs_irred(s, verdict._resolve_group(s), None)
+        kind, passed, _ = verdict._check_heart_abs_irred(s, verdict._resolve_group(s))
         v = decide_heart_simplicity(tag.family.concrete(tag), tag, p)
         from_table = not any(e.kind == "computation" for e in v.evidence)
         assert from_table == (kind == "table" and passed is True), (tag, p)

@@ -180,16 +180,23 @@ PSL2_9 = ("(0 1 2)(3 4 5)(6 7 8)", "(1 6 2 3)(4 7 8 5)", "(0 9)(1 2)(4 7)(5 8)")
 
 
 def test_very_simple_fallback_reuses_the_heart_rows_meataxe(monkeypatch):
-    is_irreducible, calls = modules.is_irreducible, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return is_irreducible(*args, **kwargs)
-
-    monkeypatch.setattr(modules, "is_irreducible", counted)
+    # from an empty memo the heart row and the fallback together run the
+    # attempts of one fresh search, and the commutant once
+    calls = {"_attempt": 0, "_commutant_dim": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(modules, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(modules, name, counted)
     monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
-    cert = dispatch(Scenario(10, 3, 1, "custom", generators=PSL2_9, assume_zeta=True))
-    assert len(calls) == 1
+    s = Scenario(10, 3, 1, "custom", generators=PSL2_9, assume_zeta=True)
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+    modules.is_irreducible(modules.heart(verdict._resolve_group(s).concrete, 3))
+    fresh = calls["_attempt"]
+    calls["_attempt"] = 0
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+    cert = dispatch(s)
+    assert fresh > 0 and calls == {"_attempt": fresh, "_commutant_dim": 1}
     assert cert.notes == ("route index_criterion_ring failed at: either n = p + 1, "
                           "or p does not divide n - 1, or the heart is very simple",)
     side = _index_route(Scenario(10, 3, 1, "custom", generators=PSL2_9, assume_zeta=True))[-1]
@@ -220,7 +227,7 @@ def test_psl2_heart_table_range():
     def heart_check(ell, r, p):
         tag = GroupTag.psl2(ell, r)
         s = Scenario(tag.n, p, 1, "tag", tag)
-        return verdict._check_heart_abs_irred(s, verdict._resolve_group(s), None)[1]
+        return verdict._check_heart_abs_irred(s, verdict._resolve_group(s))[1]
 
     assert heart_check(5, 2, 5) is None    # PSL2(25), p = l, q != l
     assert heart_check(3, 3, 3) is None    # PSL2(27), p = l, q != l
@@ -354,7 +361,7 @@ def test_family_routes_conclude_exactly_where_the_tables_apply():
             assert table == cited(tag, p), (tag.describe(), p)
             route = verdict._route_family(s, info)
             assert all(c.passed is True for c in route) == table, (tag.describe(), p)
-            kind, passed, _ = verdict._check_heart_abs_irred(s, info, None)
+            kind, passed, _ = verdict._check_heart_abs_irred(s, info)
             assert (kind == "table" and passed is True) == table, (tag.describe(), p)
             cert = dispatch(s)
             if table:
