@@ -29,7 +29,6 @@ from .groups import (
     group_file_lines,
     parse_group_file,
 )
-from .perm import parse_perm
 
 USAGE_EXIT = 64
 
@@ -108,11 +107,11 @@ def _build_scenario(args) -> verdict.Scenario:
     if args.poly:
         f = probe.parse_poly(args.poly)
         return verdict.Scenario(f.degree, args.p, args.r, "poly", poly=args.poly,
-                                assume_zeta=args.assume_zeta, seed=seed)
+                                assume_zeta=args.assume_zeta, seed=seed, parsed_poly=f)
     if args.group_file:
-        # the degree only: dispatch builds (and caches) the group itself
+        # without --n the degree is the group's, which dispatch then finds cached
         gens = tuple(group_file_lines(Path(args.group_file).read_text()))
-        n = args.n if args.n is not None else max(len(parse_perm(x)) for x in gens)
+        n = args.n if args.n is not None else verdict.custom_group(gens).degree
         return verdict.Scenario(n, args.p, args.r, "custom", generators=gens,
                                 assume_zeta=args.assume_zeta, seed=seed)
     tag = parse_group_tag(args.group, args.n)

@@ -26,10 +26,12 @@ so for n < p the residue is the integer itself. Writing N_d for the number
 of factors of degree d, tr(Q^k) = sum_{d | k} d * N_d, and Moebius
 inversion gives every N_k for k <= n/2; what degree is left over is 0 or
 one factor above n/2. `factor_degrees_mod_primes` stacks every prime with
-n < p and n * p^2 < 2^63 into one int64 batch, so every entry of a matrix
-product, a sum of n products below p^2, is exact. Any other prime takes
-the gcd route of `factor_degrees_mod_p`: for p <= n the residue of
-tr(Q^k) is ambiguous, and past the bound int64 products would overflow.
+n < p and n^2 * p^2 < 2^52 into one float64 batch, where all is exact: for
+an integer x below 2^52 / n, x * (1/p) lies within 1/p of x / p, so
+x - p * rint(x * (1/p)) is an integer of size below p, and each partial
+sum of a product entry (n terms below p^2) or of tr(A B) (n^2 terms) is an
+integer below 2^52. Other primes take the gcd route of `factor_degrees_mod_p`:
+for p <= n the residue of tr(Q^k) is ambiguous; past the bound sums round.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -235,66 +238,72 @@ def factor_degrees_mod_p(f: PolyZ, p: int, disc: int) -> list[int]:
 def factor_degrees_mod_primes(f: PolyZ, primes: list[int], disc: int) -> list[list[int]]:
     """factor_degrees_mod_p(f, p, disc) for every p in `primes`, in order.
 
-    Primes with n < p and n * p^2 < 2^63 are read together from Frobenius
+    Primes with n < p and n^2 * p^2 < 2^52 are read together from Frobenius
     traces (module docstring); the others take `factor_degrees_mod_p`.
     """
     n = f.degree
-    batch = [p for p in primes if n < p and n * p * p < 1 << 63]
+    batch = [p for p in primes if n < p and n * n * p * p < 1 << 52]
     traced = dict(zip(batch, _trace_patterns(f, batch, disc)))
     return [traced[p] if p in traced else factor_degrees_mod_p(f, p, disc) for p in primes]
 
 
 def _trace_patterns(f: PolyZ, primes: list[int], disc: int) -> list[list[int]]:
     """Factor degrees of f mod each prime from tr(Q^k) for k <= n/2; needs
-    n < p and n * p^2 < 2^63 for every p."""
+    n < p and n^2 * p^2 < 2^52 for every p."""
     for p in primes:
         _check_reduction(f, p, disc)
     if not primes:
         return []
     n, half = f.degree, f.degree // 2
-    out = []
-    for traces in _frobenius_traces(f, primes, half).tolist():
-        # N_k = (tr(Q^k) - sum of d * N_d over the proper divisors d of k) / k
-        count = [0] * (half + 1)
-        degs = []
-        for k in range(1, half + 1):
-            count[k] = (traces[k - 1] - sum(d * count[d] for d in range(1, k) if k % d == 0)) // k
-            degs += [k] * count[k]
-        if sum(degs) < n:
-            degs.append(n - sum(degs))
-        out.append(degs)
+    counts = _frobenius_traces(f, primes, half) @ _moebius_matrix(half) // np.arange(1, half + 1)
+    out = [[k for k, count in enumerate(row, 1) for _ in range(count)] for row in counts.tolist()]
+    return [degs + [n - sum(degs)] if sum(degs) < n else degs for degs in out]
+
+
+@cache
+def _moebius_matrix(half: int) -> np.ndarray:
+    """M[d - 1, k - 1] = mu(k / d) for d | k <= half, else 0: the inverse of the
+    divisibility matrix, so (tr(Q^k))_k M = (k * N_k)_k. Read-only."""
+    k = np.arange(1, half + 1)
+    out = np.rint(np.linalg.inv(k % k[:, None] == 0)).astype(np.int64)
+    out.flags.writeable = False
     return out
 
 
 def _frobenius_traces(f: PolyZ, primes: list[int], upto: int) -> np.ndarray:
     """tr(Q^k) mod p for k = 1..upto, one row per prime, with every prime
-    stacked into one (P, n, n) int64 array; exact while n * p^2 < 2^63."""
-    n = f.degree
-    ps = np.array(primes, dtype=np.int64)
-    mod = ps[:, None, None]
+    stacked into one (P, n, n) float64 array; exact while n^2 * p^2 < 2^52."""
+    n, count = f.degree, len(primes)
+    mod = np.array(primes, dtype=np.float64)[:, None, None]
+    recip = 1 / mod
+
+    def reduce(x):  # in place, to x mod p as an integer below p in size
+        x -= mod * np.rint(x * recip)
+        return x
     # companion matrix of monic f mod p: row i is x^(i+1) mod f
-    companion = np.zeros((len(primes), n, n), dtype=np.int64)
-    companion[:, np.arange(n - 1), np.arange(1, n)] = 1
+    companion = np.eye(n, k=1)[None].repeat(count, axis=0)
     invs = [pow(f.lc, -1, p) for p in primes]
     companion[:, n - 1] = [[-c * inv % p for c in f.coeffs[:-1]] for p, inv in zip(primes, invs)]
     # F = C^p, multiplication by x^p mod f, by square-and-multiply on each p's bits
-    frob = np.broadcast_to(np.eye(n, dtype=np.int64), companion.shape).copy()
-    for bit in range(max(primes).bit_length() - 1, -1, -1):
-        frob = frob @ frob % mod
-        odd = (ps >> bit & 1).astype(bool)
-        frob[odd] = frob[odd] @ companion[odd] % mod[odd]
-    # Q: row i is x^(i*p) mod f = e_0 F^i
-    rows = [np.eye(1, n, dtype=np.int64).repeat(len(primes), axis=0)[:, None]]
-    for _ in range(n - 1):
-        rows.append(rows[-1] @ frob % mod)
-    q = np.concatenate(rows, axis=1)
-    traces = np.zeros((len(primes), upto), dtype=np.int64)
-    power = q
-    for k in range(upto):
-        if k:
-            power = power @ q % mod
-        traces[:, k] = np.trace(power, axis1=1, axis2=2) % ps
-    return traces
+    bits = np.arange(max(primes).bit_length())[::-1, None]
+    odd = (np.array(primes) >> bits & 1).astype(bool)[:, :, None, None]  # (bit, prime)
+    frob = np.where(odd[0], companion, np.eye(n))
+    for step in odd[1:]:
+        frob = reduce(frob @ frob)
+        frob = np.where(step, reduce(frob @ companion), frob)
+    # Q: row i is x^(i*p) mod f = e_0 F^i, by doubling [R; R F^m] with F^m = F^(rows of R)
+    q = np.eye(1, n)[None].repeat(count, axis=0)
+    while q.shape[1] < n:
+        q = np.concatenate([q, reduce(q[:, :n - q.shape[1]] @ frob)], axis=1)
+        if q.shape[1] < n:
+            frob = reduce(frob @ frob)
+    # tr(Q^k) = sum_ij (Q^ceil(k/2))_ij (Q^floor(k/2))_ji: Q^j pairs with Q^(j-1) and Q^j
+    traces, last, power = [], np.broadcast_to(np.eye(n), q.shape), q
+    for k in range(1, upto + 1):
+        traces.append(np.einsum("pij,pji->p", power, last if k % 2 else power))
+        if k % 2 == 0 and k < upto:
+            last, power = power, reduce(power @ q)
+    return np.rint(np.array(traces).T).astype(np.int64) % np.array(primes)[:, None]
 
 
 # The odd primes in order, shared by every call and grown by is_prime on demand.

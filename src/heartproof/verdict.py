@@ -19,7 +19,7 @@ group-theoretic index facts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import modules, perm, probe, simplicity
 from .fields import PRIME_TEST_LIMIT, is_prime
@@ -64,6 +64,7 @@ class Scenario:
     poly: str | None = None
     assume_zeta: bool = False
     seed: int = 0
+    parsed_poly: probe.PolyZ | None = field(default=None, compare=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -180,23 +181,29 @@ _CUSTOM_GROUP_CACHE: dict[tuple, PermGroup] = {}
 _CUSTOM_GROUP_CACHE_SIZE = 32
 
 
+def custom_group(generators: tuple[str, ...], n: int | None = None) -> PermGroup:
+    """The group of the generators (cycle notation) on n points, or on the points
+    they move for n = None, a group that also serves n = its degree; cached."""
+    g = _CUSTOM_GROUP_CACHE.get((n, generators)) or _CUSTOM_GROUP_CACHE.get((None, generators))
+    if g is None or n not in (None, g.degree):
+        perms = [perm.parse_perm(x, n or 0) for x in generators]
+        degree = max(map(len, perms))
+        if n not in (None, degree):
+            raise InvalidScenario("generator moves a point beyond n")
+        g = PermGroup(perms, degree, GroupTag.custom(degree))
+        if len(_CUSTOM_GROUP_CACHE) >= _CUSTOM_GROUP_CACHE_SIZE:
+            del _CUSTOM_GROUP_CACHE[next(iter(_CUSTOM_GROUP_CACHE))]
+        _CUSTOM_GROUP_CACHE[(n, generators)] = g
+    return g
+
+
 def _resolve_group(s: Scenario) -> _GroupInfo:
     if s.group_source == "tag":
         return _GroupInfo(s.tag, _concrete_for_tag(s.tag))
     if s.group_source == "custom":
-        key = (s.n, s.generators)
-        g = _CUSTOM_GROUP_CACHE.get(key)
-        if g is None:
-            perms = [perm.parse_perm(x, s.n) for x in s.generators]
-            if any(len(x) > s.n for x in perms):
-                raise InvalidScenario("generator moves a point beyond n")
-            g = PermGroup([perm.extend(x, s.n) for x in perms], degree=s.n,
-                          tag=GroupTag.custom(s.n))
-            if len(_CUSTOM_GROUP_CACHE) >= _CUSTOM_GROUP_CACHE_SIZE:
-                del _CUSTOM_GROUP_CACHE[next(iter(_CUSTOM_GROUP_CACHE))]
-            _CUSTOM_GROUP_CACHE[key] = g
+        g = custom_group(s.generators, s.n)
         return _GroupInfo(g.tag, g)
-    f = probe.parse_poly(s.poly)
+    f = s.parsed_poly or probe.parse_poly(s.poly)
     if f.degree != s.n:
         raise InvalidScenario(f"polynomial degree {f.degree} does not match n = {s.n}")
     ev = probe.classify_galois(f, prime_budget=40)

@@ -183,6 +183,59 @@ def test_analyze_group_file_malformed(tmp_path, capsys):
     assert code == 1 and err == "error: no generators in group file\n"
 
 
+@pytest.mark.filterwarnings("ignore:heart of an intransitive action")  # A5 on 7 points
+def test_group_file_errors_and_parses(tmp_path, monkeypatch, capsys):
+    # without --n the degree comes from the parsed generators, so their errors
+    # come before the scenario's; with --n the scenario is checked first
+    from heartproof import perm, verdict
+
+    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+    path = tmp_path / "grp.txt"
+
+    def analyze(text, p, *extra):
+        path.write_text(text)
+        return run_cli(["analyze", "--group-file", str(path), "--p", str(p), *extra], capsys)
+
+    malformed = (1, "", "error: malformed permutation '(0 1'\n")
+    assert analyze("(0 1\n", 4) == malformed
+    assert analyze("(0 1\n", 3, "--n", "7") == malformed
+    assert analyze("(0 1\n", 4, "--n", "7") == (1, "", "error: p = 4 must be an odd prime\n")
+    assert analyze("(0 1)(1 2)\n", 4) == (1, "", "error: cycles are not disjoint in '(0 1)(1 2)'\n")
+    beyond = (1, "", "error: generator moves a point beyond n\n")
+    assert analyze("(0 1 2 3 4 5 6)\n", 3, "--n", "5") == beyond
+    assert analyze("(0 1 2)\n(0 1 2 3 4)\n", 3, "--n", "3") == (
+        1, "", "error: degree n = 3 must be at least 5\n")
+    # each generator is parsed once per group built, and not at all for a
+    # cached one; every parse ends in one perm.check_degree call
+    parsed = []
+
+    def counted(degree, _check=perm.check_degree):
+        parsed.append(degree)
+        _check(degree)
+
+    monkeypatch.setattr(perm, "check_degree", counted)
+    a5 = "(0 1 2)\n(0 1 2 3 4)\n"
+    for extra, calls in [((), 2), ((), 0), (("--n", "5"), 0), (("--n", "7"), 2), (("--n", "7"), 0)]:
+        parsed.clear()
+        code, out, _ = analyze(a5, 11, "--assume-zeta", *extra)
+        assert code in (0, 2) and out.startswith("scenario: n=" + (extra[1] if extra else "5"))
+        assert len(parsed) == calls, extra
+
+
+def test_analyze_parses_the_polynomial_once(monkeypatch, capsys):
+    from heartproof import probe
+
+    parsed = []
+
+    def counted(text, _parse=probe.parse_poly):
+        parsed.append(text)
+        return _parse(text)
+
+    monkeypatch.setattr(probe, "parse_poly", counted)
+    code, out, _ = run_cli(["analyze", "--poly", "x^5 - x - 1", "--p", "7"], capsys)
+    assert code == 0 and parsed == ["x^5 - x - 1"]
+
+
 def test_probe_command(capsys):
     code, out, _ = run_cli(["probe", "--poly", "x^5+20*x+16", "--budget", "40"], capsys)
     assert code == 0

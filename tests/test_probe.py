@@ -4,9 +4,11 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heartproof import probe
+from heartproof.fields import is_prime
 from heartproof.probe import (
     BadReduction,
     NotSquarefree,
@@ -279,8 +281,9 @@ def test_composite_degree_needs_primitivity_certificate():
 
 
 # primes of both kinds for the trace route (p <= n, n < p) up to degree 30,
-# and one where n * p^2 >= 2^63 for every n >= 2
-ORACLE_PRIMES = [2, 3, 5, 7, 13, 31, 101, 211, 2147483659]
+# the last prime with 30^2 * p^2 < 2^52, where a degree-30 batch works at
+# its bound, and one where n^2 * p^2 >= 2^52 for every n >= 2
+ORACLE_PRIMES = [2, 3, 5, 7, 13, 31, 101, 211, 2236951, 2147483659]
 
 
 def test_batched_patterns_against_the_gcd_route_and_sympy():
@@ -348,13 +351,35 @@ def test_frobenius_traces_count_roots_in_extension_fields():
     assert probe.factor_degrees_mod_primes(f, [13], disc) == [[1, 1, 2, 3]]
 
 
-def test_primes_past_the_int64_bound_take_the_gcd_route(monkeypatch):
-    # n * p^2 < 2^63 keeps every batched product exact: at n = 2 the prime
-    # 2^31 - 1 is the last below the bound and 2^31 + 11 lies past it
+def test_moebius_inversion_returns_the_degree_multiset(monkeypatch):
+    # a_k = sum over d | k of d * N_d is tr(Q^k) for a pattern with N_d factors
+    # of degree d; reading the traces back must give the pattern, for every
+    # half = n // 2 up to MAX_POLY_DEGREE // 2
+    rng = random.Random(19)
+    for n in range(1, probe.MAX_POLY_DEGREE + 1):
+        patterns = [[n], [1] * n]
+        while len(patterns) < 12:
+            degs, left = [], n
+            while left:
+                degs.append(rng.randint(1, rng.choice([left, min(left, 4)])))
+                left -= degs[-1]
+            patterns.append(sorted(degs))
+        traces = [[sum(d for d in degs if k % d == 0) for k in range(1, n // 2 + 1)]
+                  for degs in patterns]
+        monkeypatch.setattr(probe, "_frobenius_traces", lambda f, primes, upto: np.array(traces))
+        f = PolyZ((1,) * n + (1,))
+        assert probe._trace_patterns(f, [101] * len(patterns), 1) == patterns, n
+
+
+def test_primes_past_the_float64_bound_take_the_gcd_route(monkeypatch):
+    # n^2 * p^2 < 2^52 keeps every batched value an exact float64 integer: at
+    # n = 2 the prime 2^25 - 39 is the last below the bound and 2^25 + 35 the
+    # first past it
     f = parse_poly("x^2 - 3")
     disc = discriminant(f)
-    primes = [5, 2147483647, 2147483659]
-    assert [f.degree * p * p < 2**63 for p in primes] == [True, True, False]
+    primes = [5, 33554393, 33554467]
+    assert [f.degree**2 * p * p < 2**52 for p in primes] == [True, True, False]
+    assert all(map(is_prime, primes)) and not any(map(is_prime, range(primes[1] + 1, primes[2])))
     gcd_route = []
 
     def recorded(f, p, disc):
@@ -363,7 +388,7 @@ def test_primes_past_the_int64_bound_take_the_gcd_route(monkeypatch):
 
     monkeypatch.setattr(probe, "factor_degrees_mod_p", recorded)
     batched = probe.factor_degrees_mod_primes(f, primes, disc)
-    assert gcd_route == [2147483659]
+    assert gcd_route == [33554467]
     assert batched == [factor_degrees_mod_p(f, p, disc) for p in primes]
     # 3 is a square mod p exactly when p = +-1 mod 12
     assert batched == [[2] if p % 12 in (5, 7) else [1, 1] for p in primes]
