@@ -4,16 +4,14 @@ Subcommands: analyze (scenario -> certified verdict), heart, weights,
 group, probe, fixtures. Exit codes for analyze: 0 conclusive, 2
 inconclusive, 1 error, 64 usage. All reports are stable text: integer
 quantities only, sorted or fixed ordering throughout, so outputs are
-byte-reproducible for golden tests. HEARTPROOF_SEED overrides --seed,
-which a certificate records; no computation reads it, since the MeatAxe is
-seed-free.
+byte-reproducible for golden tests. A certificate records --seed; no
+computation reads it, since the MeatAxe is seed-free.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from functools import cache
@@ -27,7 +25,6 @@ from .groups import (
     PermGroup,
     format_group_file,
     group_file_lines,
-    parse_group_file,
 )
 
 USAGE_EXIT = 64
@@ -103,21 +100,20 @@ def parse_group_tag(text: str, n: int | None) -> GroupTag:
 
 
 def _build_scenario(args) -> verdict.Scenario:
-    seed = int(os.environ.get("HEARTPROOF_SEED", args.seed))
     if args.poly:
         f = probe.parse_poly(args.poly)
         return verdict.Scenario(f.degree, args.p, args.r, "poly", poly=args.poly,
-                                assume_zeta=args.assume_zeta, seed=seed, parsed_poly=f)
+                                assume_zeta=args.assume_zeta, seed=args.seed, parsed_poly=f)
     if args.group_file:
         # without --n the degree is the group's, which dispatch then finds cached
         gens = tuple(group_file_lines(Path(args.group_file).read_text()))
         n = args.n if args.n is not None else verdict.custom_group(gens).degree
         return verdict.Scenario(n, args.p, args.r, "custom", generators=gens,
-                                assume_zeta=args.assume_zeta, seed=seed)
+                                assume_zeta=args.assume_zeta, seed=args.seed)
     tag = parse_group_tag(args.group, args.n)
     n = tag.n if tag.n is not None else args.n
     return verdict.Scenario(n, args.p, args.r, "tag", tag=tag,
-                            assume_zeta=args.assume_zeta, seed=seed)
+                            assume_zeta=args.assume_zeta, seed=args.seed)
 
 
 def _cmd_analyze(args) -> int:
@@ -135,7 +131,7 @@ def _cmd_analyze(args) -> int:
 
 def _concrete_group(args) -> PermGroup:
     if args.group_file:
-        return parse_group_file(Path(args.group_file).read_text())
+        return verdict.custom_group(tuple(group_file_lines(Path(args.group_file).read_text())))
     tag = parse_group_tag(args.group, args.n)
     if tag.family.concrete is None:
         raise ValueError(f"no concrete permutation group is built for {tag.describe()}")

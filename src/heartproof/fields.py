@@ -157,14 +157,6 @@ class ExtField:
         da, db = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.ell for x, y in zip(da, db)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def neg(self, a: int) -> int:
-        if self.r == 1:
-            return (-a) % self.ell
-        return self._encode([(-c) % self.ell for c in self._decode(a)])
-
     def mul(self, a: int, b: int) -> int:
         if self.r == 1:
             return (a * b) % self.ell
@@ -193,6 +185,3 @@ class ExtField:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def elements(self) -> range:
-        return range(self.q)

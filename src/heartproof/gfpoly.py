@@ -276,14 +276,15 @@ def _split_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> lis
         return left + right
 
 
-def factor_squarefree(f: list[int], p: int, seed: int = 0) -> list[list[int]]:
+def factor_squarefree(f: list[int], p: int) -> list[list[int]]:
     """Monic irreducible factors of a squarefree f over F_p, p odd, sorted.
 
-    Equal-degree splitting is randomized; the seed makes runs reproducible.
+    Equal-degree splitting draws from a fixed Random(0); the sorted factors
+    do not depend on the draws.
     """
     if p == 2:
         raise NotImplementedError("equal-degree splitting implemented for odd p only")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     factors = []
     for g, d in distinct_degree(f, p):
         factors.extend(_split_equal_degree(g, d, p, rng))

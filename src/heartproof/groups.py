@@ -1,9 +1,10 @@
 """Permutation groups given by generators.
 
-Order and membership come from a deterministic Schreier-Sims stabilizer
-chain built eagerly at construction. Named constructors cover the families
-the verdict engine quantifies over: S_n, A_n, the five Mathieu groups
-(from bundled generator data), and PSL(2, q) acting on the projective line.
+Order, membership, orbits and elements come from one deterministic
+Schreier-Sims stabilizer chain built eagerly at construction. Named
+constructors cover the families the verdict engine quantifies over: S_n,
+A_n, the five Mathieu groups (from bundled generator data), and PSL(2, q)
+acting on the projective line.
 What the engine knows about each named family (orders, doubly transitive
 actions, index tables, the family theorem's hypotheses and the range of
 the cited heart tables) is one `Family` record in FAMILIES.
@@ -131,6 +132,24 @@ class _Level:
         self.verified: set[tuple[int, Perm]] = set()
 
 
+def _grow_transversal(t: dict[int, Perm], gens, cap: int | None = None) -> bool:
+    """Extend the transversal t (point y -> element sending the root to y)
+    breadth first to the whole orbit under gens, in FIFO order and never
+    changing an existing representative. False, with t left partial, if
+    the orbit has more than cap points."""
+    queue = list(t)
+    for x in queue:
+        tx = t[x]
+        for g in gens:
+            y = g[x]
+            if y not in t:
+                if len(t) == cap:
+                    return False
+                t[y] = perm.mult(tx, g)
+                queue.append(y)
+    return True
+
+
 class StabilizerChain:
     """Deterministic Schreier-Sims chain.
 
@@ -174,25 +193,6 @@ class StabilizerChain:
     def _gens_for(self, k: int) -> list[Perm]:
         return [g for lv in self.levels[k:] for g in lv.gens]
 
-    def _extend_orbit(self, k: int):
-        """Grow the orbit at level k, never changing existing representatives.
-
-        Keeping representatives stable makes the verified-pair cache sound:
-        a clean Schreier sift refers to the same element forever.
-        """
-        lv = self.levels[k]
-        gens = self._gens_for(k)
-        t = lv.transversal
-        queue = list(t)
-        while queue:
-            x = queue.pop(0)
-            tx = t[x]
-            for g in gens:
-                y = g[x]
-                if y not in t:
-                    t[y] = perm.mult(tx, g)
-                    queue.append(y)
-
     def strip(self, g: Perm, start: int = 0) -> tuple[int, Perm]:
         """Sift g through the chain; returns (failure level, residue)."""
         for k in range(start, len(self.levels)):
@@ -206,9 +206,11 @@ class StabilizerChain:
     def _complete(self):
         up = len(self.levels) - 1
         while up >= 0:
-            self._extend_orbit(up)
             lv = self.levels[up]
             gens = self._gens_for(up)
+            # existing representatives never change, so a clean Schreier
+            # sift in `verified` refers to the same element forever
+            _grow_transversal(lv.transversal, gens)
             inserted_at = None
             for x in sorted(lv.transversal):
                 tx = lv.transversal[x]
@@ -262,8 +264,6 @@ class PermGroup:
         self.order = self.chain.order()
         self._elements: tuple[Perm, ...] | None = None
         self._stabilizer: PermGroup | None = None
-        self._transitive: bool | None = None
-        self._doubly_transitive: bool | None = None
         # subgroup index d -> generators of a witness, or None if there is none
         self._index_witnesses: dict[int, tuple[Perm, ...] | None] = {}
         # `subgroup_classes(self)`, once computed
@@ -280,12 +280,17 @@ class PermGroup:
         return StabilizerChain(list(self.generators), self.degree, base_order).order()
 
     def elements(self) -> tuple[Perm, ...]:
-        """All elements, deterministically ordered, for small groups only."""
+        """All elements, sorted, for small groups only. Each element is one
+        product u_{k-1}...u_1 u_0 of transversal elements, u_i from level i
+        of the chain, so the products list every element once."""
         if self._elements is None:
             if self.order > SUBGROUP_ENUM_THRESHOLD:
                 raise TooLarge(f"group of order {self.order} exceeds element limit "
                                f"{SUBGROUP_ENUM_THRESHOLD}")
-            self._elements = tuple(sorted(_closure(self.generators, self.degree)))
+            elems = [perm.identity(self.degree)]
+            for lv in reversed(self.chain.levels):
+                elems = [perm.mult(h, u) for h in elems for u in lv.transversal.values()]
+            self._elements = tuple(sorted(elems))
         return self._elements
 
     def base_point_stabilizer(self) -> "PermGroup":
@@ -294,57 +299,23 @@ class PermGroup:
             self._stabilizer = PermGroup(self.chain._gens_for(1), degree=self.degree)
         return self._stabilizer
 
-    def orbit(self, point: int) -> list[int]:
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop(0)
-            for g in self.generators:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return sorted(seen)
-
     def is_transitive(self) -> bool:
-        """One orbit on the points; the answer is kept on the group."""
-        if self._transitive is None:
-            self._transitive = self.degree >= 1 and len(self.orbit(0)) == self.degree
-        return self._transitive
+        """One orbit on the points: the orbit b0^G at level 0 of the chain
+        has all of them. A chain without levels is the trivial group, which
+        is transitive on one point only."""
+        levels = self.chain.levels
+        return len(levels[0].transversal) == self.degree if levels else self.degree == 1
 
     def is_doubly_transitive(self) -> bool:
-        """Orbit count on ordered pairs of distinct points equals 1; the
-        answer is kept on the group."""
-        if self._doubly_transitive is None:
-            n = self.degree
-            start = (0, 1)
-            seen = {start}
-            queue = [start] if n >= 2 else []
-            while queue:
-                a, b = queue.pop(0)
-                for g in self.generators:
-                    pair = (g[a], g[b])
-                    if pair not in seen:
-                        seen.add(pair)
-                        queue.append(pair)
-            self._doubly_transitive = n >= 2 and len(seen) == n * (n - 1)
-        return self._doubly_transitive
-
-
-def _closure(gens, degree: int) -> set[Perm]:
-    e = perm.identity(degree)
-    seen = {e}
-    queue = [e]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = perm.mult(x, g)
-            if y not in seen:
-                if len(seen) >= SUBGROUP_ENUM_THRESHOLD:
-                    raise TooLarge(f"closure exceeded {SUBGROUP_ENUM_THRESHOLD} elements")
-                seen.add(y)
-                queue.append(y)
-    return seen
+        """G is 2-transitive on n >= 2 points exactly when it is transitive
+        and the stabilizer G_b of one point b is transitive on the other
+        n - 1 points. Level 1 of the chain is a complete chain for G_b0, b0
+        the first base point, and its orbit lies in the points other than
+        b0; so for n >= 3 that orbit must have n - 1 points (G_b0 is trivial
+        when the chain has one level). For n = 2 transitivity is enough."""
+        n, levels = self.degree, self.chain.levels
+        return n >= 2 and self.is_transitive() and (
+            n == 2 or len(levels) >= 2 and len(levels[1].transversal) == n - 1)
 
 
 @cache
@@ -626,13 +597,6 @@ def group_file_lines(text: str) -> list[str]:
     return lines
 
 
-def parse_group_file(text: str, tag: GroupTag | None = None) -> PermGroup:
-    """One generator per line in cycle notation; '#' starts a comment."""
-    perms = [perm.parse_perm(line) for line in group_file_lines(text)]
-    degree = max(len(p) for p in perms)
-    return PermGroup([perm.extend(p, degree) for p in perms], degree=degree, tag=tag)
-
-
 def format_group_file(g: PermGroup) -> str:
     return "\n".join(perm.format_perm(p) for p in g.generators) + "\n"
 
@@ -671,8 +635,7 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
         return g._subgroup_classes
     elements = list(g.elements())
     whole = frozenset(elements)
-    degree = g.degree
-    ident = perm.identity(degree)
+    ident = perm.identity(g.degree)
 
     seen: set[frozenset] = set()
     reps: list[SubgroupClass] = []
@@ -698,8 +661,10 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
     for x in elements:
         if perm.is_identity(x):
             continue
-        cyc = frozenset(_closure([x], degree))
-        register(cyc, (x,))
+        powers = [ident]
+        for _ in range(perm.order(x) - 1):
+            powers.append(perm.mult(powers[-1], x))
+        register(frozenset(powers), (x,))
 
     i = 0
     while i < len(reps):
@@ -873,15 +838,8 @@ def _orbit_over_stabilizer(gens: tuple[Perm, ...], b: int, k: frozenset,
     else None. By Schreier's lemma H_b is generated by the u_z x u_{z^x}^-1,
     so H_b = k exactly when all of them lie in k."""
     reps = {b: perm.identity(len(gens[0]))}
-    queue = [b]
-    for z in queue:
-        for x in gens:
-            y = x[z]
-            if y not in reps:
-                if len(reps) == m:
-                    return None
-                reps[y] = perm.mult(reps[z], x)
-                queue.append(y)
+    if not _grow_transversal(reps, gens, m):
+        return None
     inverses = {z: perm.inverse(u) for z, u in reps.items()}
     for z, u in reps.items():
         for x in gens:

@@ -9,6 +9,7 @@ commas.
 from __future__ import annotations
 
 import re
+from math import lcm
 
 Perm = tuple[int, ...]
 
@@ -41,23 +42,8 @@ def conjugate(p: Perm, g: Perm) -> Perm:
     return tuple(out)
 
 
-def power(p: Perm, e: int) -> Perm:
-    if e < 0:
-        return power(inverse(p), -e)
-    result = identity(len(p))
-    base = p
-    while e:
-        if e & 1:
-            result = mult(result, base)
-        base = mult(base, base)
-        e >>= 1
-    return result
-
-
 def order(p: Perm) -> int:
-    from math import lcm
-
-    return lcm(*(len(c) for c in cycles(p))) if cycles(p) else 1
+    return lcm(*(len(c) for c in cycles(p)))
 
 
 def cycles(p: Perm) -> list[list[int]]:

@@ -402,21 +402,11 @@ def test_poly_coefficient_limit(command, capsys):
     assert err == "error: a coefficient of 65 bits is above the limit MAX_COEFF_BITS = 64\n"
 
 
-def test_seed_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("HEARTPROOF_SEED", "5")
-    code, out, _ = run_cli(["analyze", "--group", "A", "--n", "5", "--p", "11"], capsys)
-    assert code == 0
-    monkeypatch.delenv("HEARTPROOF_SEED")
-    code2, out2, _ = run_cli(["analyze", "--group", "A", "--n", "5", "--p", "11"], capsys)
-    assert code2 == 0 and out == out2  # seed changes nothing on table routes
-
-
 def test_console_entry_point():
     # the child imports the heartproof this process imported, installed or
     # not, and `main` reads its argv from sys.argv
     path = [str(Path(heartproof.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    env.pop("HEARTPROOF_SEED", None)
 
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "heartproof.cli", *argv],
@@ -443,7 +433,6 @@ def test_console_entry_point():
     (["--group", "A", "--n", "5"], "11", "heart_a5_f11.txt"),
 ])
 def test_heart_output_golden(group, p, golden, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
     if group[0] == "--group-file":
         path = tmp_path / "group.txt"
         path.write_text(group[1])
@@ -460,7 +449,6 @@ def test_heart_runs_one_meataxe(monkeypatch, capsys):
     from heartproof import modules
     from heartproof.groups import mathieu_group
 
-    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
     calls = {"_attempt": 0, "_commutant_dim": 0}
     for name in calls:
         def counted(*args, _f=getattr(modules, name), _name=name):
@@ -482,7 +470,6 @@ def test_exhausted_meataxe_is_reported(command, tmp_path, monkeypatch, capsys):
     # no attempt allowed: heart is an error, analyze leaves the heart row open
     from heartproof import modules, verdict
 
-    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     monkeypatch.setattr(modules, "ATTEMPTS", 0)
     monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
@@ -509,7 +496,6 @@ def test_heart_seeds_share_the_seed_free_verdict(monkeypatch, capsys):
     # PSL2(16)'s heart at p = 3 is decided by the first seed-free random draw
     from heartproof import modules
 
-    monkeypatch.delenv("HEARTPROOF_SEED", raising=False)
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     attempts = []
 

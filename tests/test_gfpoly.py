@@ -55,7 +55,7 @@ def test_factor_squarefree_reconstructs():
         sf = gfpoly.squarefree_part(f, p)
         if gfpoly.degree(sf) == 0:
             continue
-        factors = gfpoly.factor_squarefree(sf, p, seed=3)
+        factors = gfpoly.factor_squarefree(sf, p)
         prod = [1]
         for g in factors:
             prod = gfpoly.mul(prod, g, p)
@@ -69,10 +69,18 @@ def test_factor_squarefree_reconstructs():
 
 
 def test_factor_deterministic_given_seed():
-    f = [3, 1, 4, 1, 5, 9, 2, 6, 1]
-    a = gfpoly.factor_squarefree(gfpoly.squarefree_part(f, 11), 11, seed=7)
-    b = gfpoly.factor_squarefree(gfpoly.squarefree_part(f, 11), 11, seed=7)
-    assert a == b
+    # the sorted factors do not depend on the equal-degree splitting's
+    # draws: seven linear factors and two quadratic ones over F_11
+    factors = sorted([[-a % 11, 1] for a in range(1, 8)] + [[1, 0, 1], [3, 0, 1]])
+    f = [1]
+    for g in factors:
+        f = gfpoly.mul(f, g, 11)
+    assert gfpoly.factor_squarefree(f, 11) == factors
+    for seed in range(1, 6):
+        rng = random.Random(seed)
+        split = [h for g, d in gfpoly.distinct_degree(f, 11)
+                 for h in gfpoly._split_equal_degree(g, d, 11, rng)]
+        assert sorted(split) == factors
 
 
 def test_even_characteristic_edf_unsupported():

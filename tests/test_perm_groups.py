@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from heartproof import groups, perm
+import orbits
+from heartproof import groups, perm, verdict
 from heartproof.groups import (
     GroupTag,
     PermGroup,
@@ -11,8 +12,8 @@ from heartproof.groups import (
     alternating_group,
     coset_action,
     exists_subgroup_of_index_dividing,
+    group_file_lines,
     mathieu_group,
-    parse_group_file,
     psl2_group,
     subgroup_classes,
     symmetric_group,
@@ -108,12 +109,19 @@ def test_double_transitivity_examples():
     assert psl2_group(13).is_doubly_transitive()
 
 
+class _Unread(tuple):
+    def __iter__(self):
+        raise AssertionError("generators read")
+
+
 def test_double_transitivity_is_found_once(monkeypatch):
+    # the answers are read off the chain built at construction: no orbit
+    # search over the generators runs, and no second chain is built
     g = PermGroup(psl2_group(13).generators, 14)
-    assert g.is_doubly_transitive()
-    # without its generators the pair orbit of (0, 1) is that pair alone
-    monkeypatch.setattr(g, "generators", ())
-    assert g.is_doubly_transitive()
+    monkeypatch.setattr(g, "generators", _Unread())
+    monkeypatch.setattr(groups, "StabilizerChain", None)
+    assert g.is_transitive() and g.is_doubly_transitive()
+    monkeypatch.undo()
     assert not PermGroup([], degree=1).is_doubly_transitive()
 
 
@@ -151,7 +159,7 @@ def test_index_search_lemma_on_intransitive_groups():
     for gens in (["(0 1 2)", "(1 2)", "(3 4 5 6)", "(3 5)"], ["(0 1)", "(2 3 4 5 6)"]):
         g = PermGroup([perm.parse_perm(x, 7) for x in gens], degree=7)
         b = g.chain.levels[0].base
-        omega = g.orbit(b)
+        omega = orbits.orbit(g.generators, b)
         stab = g.base_point_stabilizer()
         assert len(omega) < g.degree and stab.order * len(omega) == g.order
         assert all(x[b] == b for x in stab.generators)
@@ -220,9 +228,9 @@ def test_coset_action_rejects_non_subgroup():
 
 def test_group_file_roundtrip():
     text = "# alternating group on 5 points\n(0 1 2)\n(0 1 2 3 4)  # five cycle\n"
-    g = parse_group_file(text)
-    assert g.order == 60
-    again = parse_group_file(groups.format_group_file(g))
+    g = verdict.custom_group(tuple(group_file_lines(text)))
+    assert g.order == 60 and g.tag == GroupTag.custom(5)
+    again = verdict.custom_group(tuple(group_file_lines(groups.format_group_file(g))))
     assert again.generators == g.generators
 
 

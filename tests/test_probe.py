@@ -327,7 +327,7 @@ def test_batched_patterns_against_the_gcd_route_and_sympy():
 def _roots_in_extension(coeffs, field):
     """Number of roots in `field` of the integer polynomial, by Horner."""
     count = 0
-    for x in field.elements():
+    for x in range(field.q):
         value = 0
         for c in reversed(coeffs):
             value = field.add(field.mul(value, x), c % field.ell)
