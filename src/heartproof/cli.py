@@ -99,6 +99,14 @@ def parse_group_tag(text: str, n: int | None) -> GroupTag:
     return GroupTag.psu3(ell, r)
 
 
+def _group_file_generators(path: str) -> tuple[str, ...]:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read group file {path}: {exc.strerror}") from exc
+    return tuple(group_file_lines(text))
+
+
 def _build_scenario(args) -> verdict.Scenario:
     if args.poly:
         f = probe.parse_poly(args.poly)
@@ -106,7 +114,7 @@ def _build_scenario(args) -> verdict.Scenario:
                                 assume_zeta=args.assume_zeta, seed=args.seed, parsed_poly=f)
     if args.group_file:
         # without --n the degree is the group's, which dispatch then finds cached
-        gens = tuple(group_file_lines(Path(args.group_file).read_text()))
+        gens = _group_file_generators(args.group_file)
         n = args.n if args.n is not None else verdict.custom_group(gens).degree
         return verdict.Scenario(n, args.p, args.r, "custom", generators=gens,
                                 assume_zeta=args.assume_zeta, seed=args.seed)
@@ -131,7 +139,7 @@ def _cmd_analyze(args) -> int:
 
 def _concrete_group(args) -> PermGroup:
     if args.group_file:
-        return verdict.custom_group(tuple(group_file_lines(Path(args.group_file).read_text())))
+        return verdict.custom_group(_group_file_generators(args.group_file))
     tag = parse_group_tag(args.group, args.n)
     if tag.family.concrete is None:
         raise ValueError(f"no concrete permutation group is built for {tag.describe()}")

@@ -161,7 +161,7 @@ class ExtField:
         if self.r == 1:
             return (a * b) % self.ell
         prod = gfpoly.mul(self._decode(a), self._decode(b), self.ell)
-        _, rem = gfpoly.divmod_poly(prod, self.modulus, self.ell)
+        rem = gfpoly.rem(prod, self.modulus, self.ell)
         rem = rem + [0] * (self.r - len(rem))
         return self._encode(rem)
 

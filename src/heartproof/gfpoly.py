@@ -23,6 +23,7 @@ keeps it exact and nonnegative.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from operator import lshift, mul as _mul_int
 
 
@@ -90,9 +91,24 @@ def monic(f: list[int], p: int) -> list[int]:
     return scale(f, pow(f[-1], -1, p), p)
 
 
+def rem(f: list[int], g: list[int], p: int) -> list[int]:
+    """f mod g: the remainder of `divmod_poly` without building the quotient."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    low = g[:-1]
+    lg_inv = pow(g[-1], -1, p)
+    r = list(f)
+    for top in range(len(r) - 1, dg - 1, -1):
+        c = r[top] * lg_inv % p
+        if c:
+            r[top - dg:top] = [a - c * b for a, b in zip(r[top - dg:top], low)]
+    return trim([a % p for a in r[:dg]])
+
+
 def gcd(f: list[int], g: list[int], p: int) -> list[int]:
     while g:
-        f, g = g, divmod_poly(f, g, p)[1]
+        f, g = g, rem(f, g, p)
     return monic(f, p)
 
 
@@ -161,9 +177,16 @@ class _Modulus:
         return self.unpack(sum(map(_mul_int, h, rows)))
 
 
+@lru_cache(maxsize=8)
+def _modulus(f: tuple[int, ...], p: int) -> _Modulus:
+    """The packed modulus of f, built once for a `distinct_degree` call and
+    the `pow_mod` call it makes."""
+    return _Modulus(list(f), p)
+
+
 def pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
     """f^e reduced mod the polynomial `mod`."""
-    return _Modulus(mod, p).pow(divmod_poly(f, mod, p)[1], e)
+    return _modulus(tuple(mod), p).pow(rem(f, mod, p), e)
 
 
 def is_squarefree(f: list[int], p: int) -> bool:
@@ -221,7 +244,7 @@ def distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
             h = xp = pow_mod([0, 1], p, f, p)
         else:
             if d == 2:
-                modulus = _Modulus(f, p)
+                modulus = _modulus(tuple(f), p)
                 frobenius = modulus.powers(xp)
             h = modulus.apply(h, frobenius)
         g = gcd(sub(h, [0, 1], p), rest, p)
@@ -260,7 +283,7 @@ def _split_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> lis
     e = (p**d - 1) // 2
     while True:
         a = [rng.randrange(p) for _ in range(n)] + [1]
-        a = divmod_poly(a, f, p)[1]
+        a = rem(a, f, p)
         if degree(a) <= 0:
             continue
         g = gcd(a, f, p)

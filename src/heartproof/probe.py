@@ -26,12 +26,15 @@ so for n < p the residue is the integer itself. Writing N_d for the number
 of factors of degree d, tr(Q^k) = sum_{d | k} d * N_d, and Moebius
 inversion gives every N_k for k <= n/2; what degree is left over is 0 or
 one factor above n/2. `factor_degrees_mod_primes` stacks every prime with
-n < p and n^2 * p^2 < 2^52 into one float64 batch, where all is exact: for
-an integer x below 2^52 / n, x * (1/p) lies within 1/p of x / p, so
-x - p * rint(x * (1/p)) is an integer of size below p, and each partial
-sum of a product entry (n terms below p^2) or of tr(A B) (n^2 terms) is an
-integer below 2^52. Other primes take the gcd route of `factor_degrees_mod_p`:
-for p <= n the residue of tr(Q^k) is ambiguous; past the bound sums round.
+n < p and n^2 * p^3 < 2^52 into one float64 batch, where all is exact: for
+an integer x below 2^52, x * (1/p) lies within 1/p of x / p, so
+x - p * rint(x * (1/p)) is an integer of size below p for p >= 3. Entries
+are reduced once per step, so a square of reduced matrices has entries below
+n * p^2; its product with the companion matrix (entries in [0, p)) has
+partial sums below n^2 * p^3, and every other product entry (n terms below
+p^2) or tr(A B) (n^2 terms) stays below that. Other primes take the gcd route
+of `factor_degrees_mod_p`: for p <= n the residue of tr(Q^k) is ambiguous;
+past the bound sums round.
 """
 
 from __future__ import annotations
@@ -238,18 +241,18 @@ def factor_degrees_mod_p(f: PolyZ, p: int, disc: int) -> list[int]:
 def factor_degrees_mod_primes(f: PolyZ, primes: list[int], disc: int) -> list[list[int]]:
     """factor_degrees_mod_p(f, p, disc) for every p in `primes`, in order.
 
-    Primes with n < p and n^2 * p^2 < 2^52 are read together from Frobenius
+    Primes with n < p and n^2 * p^3 < 2^52 are read together from Frobenius
     traces (module docstring); the others take `factor_degrees_mod_p`.
     """
     n = f.degree
-    batch = [p for p in primes if n < p and n * n * p * p < 1 << 52]
+    batch = [p for p in primes if n < p and n * n * p**3 < 1 << 52]
     traced = dict(zip(batch, _trace_patterns(f, batch, disc)))
     return [traced[p] if p in traced else factor_degrees_mod_p(f, p, disc) for p in primes]
 
 
 def _trace_patterns(f: PolyZ, primes: list[int], disc: int) -> list[list[int]]:
     """Factor degrees of f mod each prime from tr(Q^k) for k <= n/2; needs
-    n < p and n^2 * p^2 < 2^52 for every p."""
+    n < p and n^2 * p^3 < 2^52 for every p."""
     for p in primes:
         _check_reduction(f, p, disc)
     if not primes:
@@ -272,25 +275,33 @@ def _moebius_matrix(half: int) -> np.ndarray:
 
 def _frobenius_traces(f: PolyZ, primes: list[int], upto: int) -> np.ndarray:
     """tr(Q^k) mod p for k = 1..upto, one row per prime, with every prime
-    stacked into one (P, n, n) float64 array; exact while n^2 * p^2 < 2^52."""
+    stacked into one (P, n, n) float64 array; exact while n^2 * p^3 < 2^52."""
     n, count = f.degree, len(primes)
-    mod = np.array(primes, dtype=np.float64)[:, None, None]
-    recip = 1 / mod
+    ps = np.array(primes)
+    mod = np.repeat(ps.astype(np.float64), n * n).reshape(count, n, n)
+    recip, scratch = 1 / mod, np.empty_like(mod)
 
     def reduce(x):  # in place, to x mod p as an integer below p in size
-        x -= mod * np.rint(x * recip)
+        rows = x.shape[1]
+        s = scratch[:, :rows]
+        np.rint(np.multiply(x, recip[:, :rows], out=s), out=s)
+        x -= np.multiply(s, mod[:, :rows], out=s)
         return x
-    # companion matrix of monic f mod p: row i is x^(i+1) mod f
+    # companion matrix of monic f mod p: row i is x^(i+1) mod f; c % p stays
+    # in Python, as a coefficient may not fit in an int64
     companion = np.eye(n, k=1)[None].repeat(count, axis=0)
-    invs = [pow(f.lc, -1, p) for p in primes]
-    companion[:, n - 1] = [[-c * inv % p for c in f.coeffs[:-1]] for p, inv in zip(primes, invs)]
-    # F = C^p, multiplication by x^p mod f, by square-and-multiply on each p's bits
+    low = np.array([[c % p for c in f.coeffs[:-1]] for p in primes])
+    invs = np.array([pow(f.lc, -1, p) for p in primes])
+    companion[:, n - 1] = -low * invs[:, None] % ps[:, None]
+    # F = C^p, multiplication by x^p mod f, by square-and-multiply on each p's
+    # bits, one reduction per bit: a product of the square (entries below n*p^2)
+    # with C (entries in [0, p)) has partial sums below n^2 * p^3
     bits = np.arange(max(primes).bit_length())[::-1, None]
-    odd = (np.array(primes) >> bits & 1).astype(bool)[:, :, None, None]  # (bit, prime)
+    odd = (ps >> bits & 1).astype(bool)[:, :, None, None]  # (bit, prime)
     frob = np.where(odd[0], companion, np.eye(n))
     for step in odd[1:]:
-        frob = reduce(frob @ frob)
-        frob = np.where(step, reduce(frob @ companion), frob)
+        square = frob @ frob
+        frob = reduce(np.where(step, square @ companion, square))
     # Q: row i is x^(i*p) mod f = e_0 F^i, by doubling [R; R F^m] with F^m = F^(rows of R)
     q = np.eye(1, n)[None].repeat(count, axis=0)
     while q.shape[1] < n:
@@ -303,7 +314,7 @@ def _frobenius_traces(f: PolyZ, primes: list[int], upto: int) -> np.ndarray:
         traces.append(np.einsum("pij,pji->p", power, last if k % 2 else power))
         if k % 2 == 0 and k < upto:
             last, power = power, reduce(power @ q)
-    return np.rint(np.array(traces).T).astype(np.int64) % np.array(primes)[:, None]
+    return np.rint(np.array(traces).T).astype(np.int64) % ps[:, None]
 
 
 # The odd primes in order, shared by every call and grown by is_prime on demand.

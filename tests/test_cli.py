@@ -311,6 +311,15 @@ def test_fixtures_value_errors_are_fail_lines(tmp_path, capsys):
                    "0 passed, 2 failed\n")
 
 
+@pytest.mark.parametrize("command", [["analyze", "--p", "7"], ["heart", "--p", "7"], ["group"]],
+                         ids=["analyze", "heart", "group"])
+def test_missing_group_file(command, tmp_path, capsys):
+    path = tmp_path / "absent.txt"
+    code, out, err = run_cli([*command, "--group-file", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: cannot read group file {path}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("command, generator", [
     (["analyze", "--p", "7", "--assume-zeta"], f"(0 {MAX_DEGREE})"),
     (["analyze", "--p", "7", "--n", str(MAX_DEGREE + 1)], "(0 1 2)"),

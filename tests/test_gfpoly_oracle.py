@@ -1,5 +1,6 @@
 """Distinct-degree splitting, factor degrees and equal-degree splitting over
-F_p against sympy's galoistools, on hypothesis-drawn squarefree polynomials.
+F_p against sympy's galoistools, on hypothesis-drawn squarefree polynomials,
+and the Euclidean gcd on drawn pairs with common factors.
 """
 
 import pytest
@@ -10,7 +11,7 @@ pytest.importorskip("sympy")
 st = pytest.importorskip("hypothesis.strategies")
 from hypothesis import assume, given, settings  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
-from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p  # noqa: E402
+from sympy.polys.galoistools import gf_factor_sqf, gf_gcd, gf_sqf_p  # noqa: E402
 
 # small primes, the probe's range, and one prime above 2^31
 PRIMES = [2, 3, 5, 7, 13, 101, 211, 2147483659]
@@ -50,3 +51,24 @@ def test_distinct_degree_against_sympy(case):
     assert gfpoly.factor_degrees(f, p) == sorted(gfpoly.degree(g) for g in factors)
     if p != 2:
         assert gfpoly.factor_squarefree(f, p) == sorted(factors)
+
+
+def _poly_mod(p, max_degree):
+    """A polynomial over F_p of degree at most max_degree, maybe zero or a
+    constant; half the draws take uniform coefficients, as shrunk
+    hypothesis lists are mostly zeros."""
+    uniform = st.randoms(use_true_random=False).map(
+        lambda r: [r.randrange(p) for _ in range(r.randint(0, max_degree + 1))])
+    return st.one_of(st.lists(st.integers(0, p - 1), max_size=max_degree + 1),
+                     uniform).map(gfpoly.trim)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gcd_against_sympy(p, data):
+    # f = h*a and g = h*b, so the gcd is often a nonconstant h
+    h, a, b = (data.draw(_poly_mod(p, k)) for k in (6, 12, 12))
+    f, g = gfpoly.mul(h, a, p), gfpoly.mul(h, b, p)
+    for x, y in [(f, g), (g, f), (f, []), ([], g), (f, [p - 1])]:
+        assert gfpoly.gcd(x, y, p) == [int(c) for c in reversed(gf_gcd(x[::-1], y[::-1], p, ZZ))]

@@ -281,9 +281,9 @@ def test_composite_degree_needs_primitivity_certificate():
 
 
 # primes of both kinds for the trace route (p <= n, n < p) up to degree 30,
-# the last prime with 30^2 * p^2 < 2^52, where a degree-30 batch works at
-# its bound, and one where n^2 * p^2 >= 2^52 for every n >= 2
-ORACLE_PRIMES = [2, 3, 5, 7, 13, 31, 101, 211, 2236951, 2147483659]
+# the last prime with 30^2 * p^3 < 2^52, where a degree-30 batch works at
+# its bound, and one where n^2 * p^3 >= 2^52 for every n >= 2
+ORACLE_PRIMES = [2, 3, 5, 7, 13, 31, 101, 211, 17099, 2147483659]
 
 
 def test_batched_patterns_against_the_gcd_route_and_sympy():
@@ -372,13 +372,13 @@ def test_moebius_inversion_returns_the_degree_multiset(monkeypatch):
 
 
 def test_primes_past_the_float64_bound_take_the_gcd_route(monkeypatch):
-    # n^2 * p^2 < 2^52 keeps every batched value an exact float64 integer: at
-    # n = 2 the prime 2^25 - 39 is the last below the bound and 2^25 + 35 the
+    # n^2 * p^3 < 2^52 keeps every batched value an exact float64 integer: at
+    # n = 2 the prime 104021 is the last below the bound and 104033 the
     # first past it
     f = parse_poly("x^2 - 3")
     disc = discriminant(f)
-    primes = [5, 33554393, 33554467]
-    assert [f.degree**2 * p * p < 2**52 for p in primes] == [True, True, False]
+    primes = [5, 104021, 104033]
+    assert [f.degree**2 * p**3 < 2**52 for p in primes] == [True, True, False]
     assert all(map(is_prime, primes)) and not any(map(is_prime, range(primes[1] + 1, primes[2])))
     gcd_route = []
 
@@ -388,7 +388,7 @@ def test_primes_past_the_float64_bound_take_the_gcd_route(monkeypatch):
 
     monkeypatch.setattr(probe, "factor_degrees_mod_p", recorded)
     batched = probe.factor_degrees_mod_primes(f, primes, disc)
-    assert gcd_route == [33554467]
+    assert gcd_route == [104033]
     assert batched == [factor_degrees_mod_p(f, p, disc) for p in primes]
     # 3 is a square mod p exactly when p = +-1 mod 12
     assert batched == [[2] if p % 12 in (5, 7) else [1, 1] for p in primes]
@@ -397,6 +397,36 @@ def test_primes_past_the_float64_bound_take_the_gcd_route(monkeypatch):
     cubic = parse_poly("x^3 - x - 1")
     assert probe.factor_degrees_mod_primes(cubic, [3, 5], discriminant(cubic)) == [[3], [1, 2]]
     assert gcd_route == [3]
+
+
+def test_batch_is_exact_at_its_largest_product(monkeypatch):
+    # a dense degree-50 polynomial at p = 12163, the last prime with
+    # 50^2 * p^3 < 2^52: the batch must agree with the gcd route and sympy,
+    # and the next prime, 12197, takes the gcd route
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+
+    rng = random.Random(50)
+    f = PolyZ(tuple(rng.randint(-10**6, 10**6) for _ in range(50)) + (rng.randint(1, 10**6),))
+    disc = discriminant(f)
+    primes = [12163, 12197]
+    assert [50**2 * p**3 < 2**52 for p in primes] == [True, False]
+    assert all(map(is_prime, primes)) and not any(map(is_prime, range(primes[0] + 1, primes[1])))
+    assert all(f.lc % p and disc % p for p in primes)
+    gcd_route = []
+
+    def recorded(f, p, disc):
+        gcd_route.append(p)
+        return factor_degrees_mod_p(f, p, disc)
+
+    monkeypatch.setattr(probe, "factor_degrees_mod_p", recorded)
+    batched = probe.factor_degrees_mod_primes(f, primes, disc)
+    assert gcd_route == [12197]
+    for p, degs in zip(primes, batched):
+        assert degs == factor_degrees_mod_p(f, p, disc)
+        _, factors = gf_factor_sqf([c % p for c in reversed(f.coeffs)], p, ZZ)
+        assert degs == sorted(len(g) - 1 for g in factors), p
 
 
 def test_verify_evidence_rederives_patterns_by_the_gcd_route(monkeypatch):
