@@ -6,6 +6,15 @@ inconclusive, 1 error, 64 usage. All reports are stable text: integer
 quantities only, sorted or fixed ordering throughout, so outputs are
 byte-reproducible for golden tests. A certificate records --seed; no
 computation reads it, since the MeatAxe is seed-free.
+
+argparse (`build_parser`) is the one declaration of the options and the
+one source of help and error text. A plain argv after a subcommand (exact
+option strings, each store option followed by a value that does not start
+with '-', and store_true flags) is read straight from that subparser's
+actions, converting each value with the action's own type; any other argv
+(help, abbreviations, '--opt=value', values starting with '-', '--',
+unknown tokens, failed conversions, a missing required option) goes
+through argparse, so both paths give the same namespace and output.
 """
 
 from __future__ import annotations
@@ -21,8 +30,10 @@ from . import modules, probe, simplicity, verdict, weights
 from .fields import is_prime
 from .groups import (
     MATHIEU_ORDERS,
+    MAX_Q_BITS,
     GroupTag,
     PermGroup,
+    field_order,
     format_group_file,
     group_file_lines,
 )
@@ -48,19 +59,30 @@ _TAG_RE = re.compile(
 )
 
 
+_PRIME_POWER_RE = re.compile(r"\s*(\d+)\s*(?:[\^,]\s*(\d+)\s*)?")
+# a numeral with more digits than 2^MAX_Q_BITS is refused before int() reads it
+_MAX_Q_DIGITS = len(str(1 << MAX_Q_BITS))
+
+
 def _parse_prime_power(text: str) -> tuple[int, int]:
     """'13' -> (13, 1); '2^4', '2,4' or '16' -> (2, 4).
 
     A bare q is l^r for the largest r with an exact integer r-th root l,
     and a prime power exactly when that l is prime: were q = l^r = m^s
-    with l prime and s > r, m would be a power of l below l.
+    with l prime and s > r, m would be a power of l below l. A bare q
+    above MAX_Q_BITS bits is refused before that search.
     """
-    text = text.strip()
-    for sep in "^,":
-        if sep in text:
-            ell, r = text.split(sep)
-            return int(ell), int(r)
-    value = int(text)
+    m = _PRIME_POWER_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed prime power {text!r}: expected q, l^r or l,r")
+    numerals = [g for g in m.groups() if g is not None]
+    digits = max(len(g.lstrip("0")) for g in numerals)
+    if digits > _MAX_Q_DIGITS:
+        raise ValueError(f"q written with a {digits}-digit number is above the limit "
+                         f"MAX_Q_BITS = {MAX_Q_BITS}")
+    if len(numerals) == 2:
+        return int(numerals[0]), int(numerals[1])
+    value = field_order(int(numerals[0]), 1)
     if value > 1:
         for r in range(value.bit_length() - 1, 0, -1):
             ell = _integer_root(value, r)
@@ -107,6 +129,16 @@ def _group_file_generators(path: str) -> tuple[str, ...]:
     return tuple(group_file_lines(text))
 
 
+def _write(path: str, text: str) -> bool:
+    """Writes text to path; False, with the error printed, if it cannot."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def _build_scenario(args) -> verdict.Scenario:
     if args.poly:
         f = probe.parse_poly(args.poly)
@@ -132,8 +164,8 @@ def _cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(verdict.explain(cert))
-    if args.json:
-        Path(args.json).write_text(verdict.certificate_to_json(cert))
+    if args.json and not _write(args.json, verdict.certificate_to_json(cert)):
+        return 1
     return 0 if cert.conclusion.kind != "inconclusive" else 2
 
 
@@ -165,8 +197,8 @@ def _cmd_heart(args) -> int:
     print(f"simplicity verdict: {v.level.name}")
     for item in v.evidence:
         print(f"  [{item.kind}] {item.statement}")
-    if args.dump:
-        Path(args.dump).write_text(modules.dumps(h))
+    if args.dump and not _write(args.dump, modules.dumps(h)):
+        return 1
     return 0
 
 
@@ -358,6 +390,33 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _plain_args(command: _Parser, tokens: list[str]) -> argparse.Namespace | None:
+    """The namespace `command.parse_known_args(tokens)` returns, for a plain
+    argv (see the module docstring); None for any other."""
+    values = {}
+    it = iter(tokens)
+    for token in it:
+        action = command._option_string_actions.get(token)
+        if type(action) is argparse._StoreTrueAction:
+            values[action.dest] = True
+            continue
+        value = next(it, "-")  # a missing value is no plain one
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or action.choices is not None or value.startswith("-")):
+            return None
+        try:
+            values[action.dest] = (action.type or str)(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+    for action in command._actions:
+        if action.dest not in values:
+            if action.required:
+                return None
+            if action.default is not argparse.SUPPRESS:
+                values[action.dest] = action.default
+    return argparse.Namespace(**{**command._defaults, **values})
+
+
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -367,9 +426,11 @@ def main(argv=None) -> int:
     else:
         # what the top parser does with a leading subcommand, without first
         # scanning the whole of argv itself
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _plain_args(command, argv[1:])
+        if args is None:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     if getattr(args, "command", None) in ("analyze", "heart") and not (
         getattr(args, "group", None) or getattr(args, "group_file", None)

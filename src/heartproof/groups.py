@@ -47,6 +47,9 @@ class TooLarge(ValueError):
 
 SUBGROUP_ENUM_THRESHOLD = 20000
 
+# the field orders q = l^r of PSL2(q) and U3(q) tags stay below 2^MAX_Q_BITS
+MAX_Q_BITS = 1024
+
 MATHIEU_ORDERS = {
     11: 7920,
     12: 95040,
@@ -54,6 +57,17 @@ MATHIEU_ORDERS = {
     23: 10200960,
     24: 244823040,
 }
+
+
+def field_order(ell: int, r: int) -> int:
+    """q = l^r, refused above MAX_Q_BITS bits. For |l| >= 2 and r >= 1, q has
+    more than r·(bitlen(l) − 1) bits, so a power that far out is refused
+    before it is formed; any power formed has fewer than 2·MAX_Q_BITS bits."""
+    if r >= 1 and (r * (abs(ell).bit_length() - 1) >= MAX_Q_BITS
+                   or (ell**r).bit_length() > MAX_Q_BITS):
+        power = f"{ell}^{r}" if r > 1 else f"{ell}"
+        raise ValueError(f"q = {power} is above the limit MAX_Q_BITS = {MAX_Q_BITS}")
+    return ell**r
 
 
 def psl2_order(q: int) -> int:
@@ -101,11 +115,11 @@ class GroupTag:
 
     @staticmethod
     def psl2(ell: int, r: int = 1) -> "GroupTag":
-        return GroupTag("psl2", n=ell**r + 1, ell=ell, r=r)
+        return GroupTag("psl2", n=field_order(ell, r) + 1, ell=ell, r=r)
 
     @staticmethod
     def psu3(ell: int, r: int = 1) -> "GroupTag":
-        return GroupTag("psu3", n=(ell**r) ** 3 + 1, ell=ell, r=r)
+        return GroupTag("psu3", n=field_order(ell, r) ** 3 + 1, ell=ell, r=r)
 
     @staticmethod
     def custom(n: int | None = None) -> "GroupTag":
@@ -386,7 +400,7 @@ def psl2_group(ell: int, r: int = 1) -> PermGroup:
     the resulting order against q(q^2 - 1)/gcd(2, q - 1). A degree q + 1
     above perm.MAX_DEGREE is refused before anything is built.
     """
-    perm.check_degree(ell**r + 1)
+    perm.check_degree(field_order(ell, r) + 1)
     if not is_prime(ell):
         raise InvalidField(f"{ell} is not prime")
     field = ExtField(ell, r)

@@ -10,6 +10,7 @@ import pytest
 import heartproof
 from heartproof import cli
 from heartproof.cli import main, parse_group_tag
+from heartproof.groups import MAX_Q_BITS
 from heartproof.perm import MAX_DEGREE
 from heartproof.weights import MAX_PROFILE_Q, MAX_R
 
@@ -108,6 +109,18 @@ PARSE_ARGVS = [
     ["probe", "--poly", "x^5 - x - 1", "--budget", "0"],
     ["weights", "--n", "5", "--p", "7", "extra"], ["--p", "7", "weights", "--n", "5"],
     ["weights", "--n", "5", "--p", "7"],
+    # edge forms of the plain path: most fall back to argparse, the repeated
+    # --p and the --assume-zeta forms are read plainly
+    ["heart", "--gr", "A", "--n", "5", "--p", "7"],
+    ["heart", "--group", "A", "--n", "5", "--p=7"],
+    ["heart", "--group", "A", "--n", "-5", "--p", "7"],
+    ["analyze", "--poly", "-x^5 + 1", "--p", "7"],
+    ["heart", "--group", "A", "--n", "5", "--p", "3", "--p", "5"],
+    ["heart", "--group", "A", "--n", "5", "--p", "7", "--seed", "x"],
+    ["heart", "--group", "A", "--n", "5", "--p", "7", "--help"],
+    ["analyze", "--assume-zeta", "--group", "S", "--n", "7", "--p", "11"],
+    ["analyze", "--group", "S", "--n", "7", "--p", "11", "--assume-zeta"],
+    ["heart", "--group", "A", "--n", "5", "--", "--p", "7"],
 ]
 
 
@@ -145,6 +158,18 @@ def test_analyze_json_roundtrip(tmp_path, capsys):
     cert = verdict.dispatch(verdict.scenario_from_dict(json.loads(text)["scenario"]))
     assert verdict.explain(cert) == out
     assert verdict.certificate_to_json(cert) == text
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["analyze", "--group", "S", "--n", "7", "--p", "11", "--json"], "dir/c.json"),
+    (["heart", "--group", "A", "--n", "5", "--p", "7", "--dump"], "dir/x"),
+], ids=["analyze-json", "heart-dump"])
+def test_unwritable_output_path(argv, path, tmp_path, capsys):
+    target = tmp_path / path
+    code, out, err = run_cli([*argv, str(target)], capsys)
+    written = run_cli(argv[:-1], capsys)[1]
+    assert (code, out) == (1, written)
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_weights_table(capsys):
@@ -542,6 +567,43 @@ def test_prime_power_from_integer_roots(capsys):
     assert (t.ell, t.r) == (3, 20)
     code, out, err = run_cli(["analyze", "--group", "PSL2(12)", "--p", "5"], capsys)
     assert code == 1 and out == "" and err == "error: 12 is not a prime power\n"
+
+
+@pytest.mark.parametrize("command", [["group"], ["heart", "--p", "5"], ["analyze", "--p", "5"]],
+                         ids=["group", "heart", "analyze"])
+@pytest.mark.parametrize("tag, message", [
+    ("PSL2(2^10000000000)", f"q = 2^10000000000 is above the limit MAX_Q_BITS = {MAX_Q_BITS}"),
+    ("U3(2^10000000000)", f"q = 2^10000000000 is above the limit MAX_Q_BITS = {MAX_Q_BITS}"),
+    (f"PSL2({'7' * 4000})",
+     f"q written with a 4000-digit number is above the limit MAX_Q_BITS = {MAX_Q_BITS}"),
+    ("PSL2(2^99999999)", f"q = 2^99999999 is above the limit MAX_Q_BITS = {MAX_Q_BITS}"),
+    (f"PSL2(3^{MAX_Q_BITS})", f"q = 3^{MAX_Q_BITS} is above the limit MAX_Q_BITS = {MAX_Q_BITS}"),
+    (f"PSL2({2**MAX_Q_BITS + 1})",
+     f"q = {2**MAX_Q_BITS + 1} is above the limit MAX_Q_BITS = {MAX_Q_BITS}"),
+    ("PSL2(2^4^5)", "malformed prime power '2^4^5': expected q, l^r or l,r"),
+    ("PSL2(2,4,5)", "malformed prime power '2,4,5': expected q, l^r or l,r"),
+    ("U3(5^1^1)", "malformed prime power '5^1^1': expected q, l^r or l,r"),
+    ("PSL2(x)", "malformed prime power 'x': expected q, l^r or l,r"),
+    ("PSL2()", "malformed prime power '': expected q, l^r or l,r"),
+    ("PSL2(2^x)", "malformed prime power '2^x': expected q, l^r or l,r"),
+], ids=["psl2-huge-r", "u3-huge-r", "bare-4000-digits", "str-limit", "3-power", "bare-bits",
+        "two-carets", "three-numbers", "u3-two-carets", "letter", "empty", "letter-exponent"])
+def test_prime_power_limits_and_malformed_text(command, tag, message, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli([*command, "--group", tag], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_fixtures_refuse_a_field_order_above_the_limit(tmp_path, capsys):
+    line = {"name": "huge_q", "scenario": {"n": 5, "p": 7, "r": 1, "group": {
+        "kind": "psl2", "ell": 2, "r": 10**10}}, "expect": {"conclusion": "cyclotomic_ring"}}
+    path = tmp_path / "huge_q.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    code, out, err = run_cli(["fixtures", "--run", str(path)], capsys)
+    assert code == 1 and err == ""
+    assert out == (f"[FAIL] huge_q: unexpected rejection: q = 2^{10**10} is above the limit "
+                   f"MAX_Q_BITS = {MAX_Q_BITS}\n0 passed, 1 failed\n")
 
 
 def test_fixtures_refuse_a_mathieu_degree_that_does_not_exist(tmp_path, capsys):
