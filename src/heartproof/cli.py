@@ -15,6 +15,13 @@ actions, converting each value with the action's own type; any other argv
 (help, abbreviations, '--opt=value', values starting with '-', '--',
 unknown tokens, failed conversions, a missing required option) goes
 through argparse, so both paths give the same namespace and output.
+A declined argv goes to the subcommand's own parser: 32 µs against 77 µs
+for the whole one (timeit, 2-vCPU host), and 65 of the 162 analyze-poly
+argvs of three benchmark rounds are declined, their polynomial leading '-'.
+
+`_run` is the one exit for a refused input: a ValueError (InvalidScenario,
+TooLarge, an unreadable or unwritable path, ...) or an exhausted MeatAxe
+search prints one `error: ...` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -129,14 +136,11 @@ def _group_file_generators(path: str) -> tuple[str, ...]:
     return tuple(group_file_lines(text))
 
 
-def _write(path: str, text: str) -> bool:
-    """Writes text to path; False, with the error printed, if it cannot."""
+def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _build_scenario(args) -> verdict.Scenario:
@@ -157,21 +161,16 @@ def _build_scenario(args) -> verdict.Scenario:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        scenario = _build_scenario(args)
-        cert = verdict.dispatch(scenario)
-    except (verdict.InvalidScenario, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cert = verdict.dispatch(_build_scenario(args))
     sys.stdout.write(verdict.explain(cert))
-    if args.json and not _write(args.json, verdict.certificate_to_json(cert)):
-        return 1
+    if args.json:
+        _write(args.json, verdict.certificate_to_json(cert))
     return 0 if cert.conclusion.kind != "inconclusive" else 2
 
 
 def _concrete_group(args) -> PermGroup:
     if args.group_file:
-        return verdict.custom_group(_group_file_generators(args.group_file))
+        return verdict.custom_group(_group_file_generators(args.group_file), args.n)
     tag = parse_group_tag(args.group, args.n)
     if tag.family.concrete is None:
         raise ValueError(f"no concrete permutation group is built for {tag.describe()}")
@@ -179,13 +178,9 @@ def _concrete_group(args) -> PermGroup:
 
 
 def _cmd_heart(args) -> int:
-    try:
-        g = _concrete_group(args)
-        h = modules.heart(g, args.p)
-        result = modules.is_irreducible(h)
-    except (ValueError, modules.RandomnessExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = _concrete_group(args)
+    h = modules.heart(g, args.p)
+    result = modules.is_irreducible(h)
     print(f"group: {g.tag.describe()} on {g.degree} points, order {g.order}")
     print(f"heart: dimension {h.dim} ({h.kind}) over F_{args.p}")
     if result.irreducible:
@@ -197,20 +192,16 @@ def _cmd_heart(args) -> int:
     print(f"simplicity verdict: {v.level.name}")
     for item in v.evidence:
         print(f"  [{item.kind}] {item.statement}")
-    if args.dump and not _write(args.dump, modules.dumps(h)):
-        return 1
+    if args.dump:
+        _write(args.dump, modules.dumps(h))
     return 0
 
 
 def _cmd_weights(args) -> int:
-    try:
-        params = weights.CurveParams(args.n, args.p, args.r)
-        if args.n % args.p != 0:
-            sys.stdout.write(weights.weight_profile(params).table())
-            return 0
-    except (ValueError, weights.HypothesisViolated) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    params = weights.CurveParams(args.n, args.p, args.r)
+    if args.n % args.p != 0:
+        sys.stdout.write(weights.weight_profile(params).table())
+        return 0
     print(f"not applicable: p = {args.p} divides n = {args.n} "
           "(no closed-form profile in this branch); "
           f"genus {weights.genus(params)}")
@@ -218,11 +209,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_group(args) -> int:
-    try:
-        g = _concrete_group(args)
-    except (ValueError, AssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = _concrete_group(args)
     print(f"tag: {g.tag.describe()}")
     print(f"degree: {g.degree}")
     print(f"order: {g.order}")
@@ -235,12 +222,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    try:
-        f = probe.parse_poly(args.poly)
-        ev = probe.classify_galois(f, prime_budget=args.budget)
-    except (ValueError, probe.NotSquarefree) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    f = probe.parse_poly(args.poly)
+    ev = probe.classify_galois(f, prime_budget=args.budget)
     print(f"polynomial: {f}")
     print(f"degree: {ev.degree}")
     print(f"discriminant: {ev.disc} (perfect square: {ev.disc_is_square})")
@@ -307,8 +290,7 @@ def run_fixture_line(line: str):
 def _cmd_fixtures(args) -> int:
     path = Path(args.run) if args.run else _bundled_fixtures()
     if not path.exists():
-        print(f"error: fixture file {path} does not exist", file=sys.stderr)
-        return 1
+        raise ValueError(f"fixture file {path} does not exist")
     passed = failed = 0
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -437,7 +419,16 @@ def main(argv=None) -> int:
         or getattr(args, "poly", None)
     ):
         parser.error("one of --group, --group-file or --poly is required")
-    return args.func(args)
+    return _run(args)
+
+
+def _run(args) -> int:
+    """The subcommand's exit code; an input it refuses is reported here."""
+    try:
+        return args.func(args)
+    except (ValueError, modules.RandomnessExhausted) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

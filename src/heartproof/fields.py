@@ -152,14 +152,10 @@ class ExtField:
         return v
 
     def add(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a + b) % self.ell
         da, db = self._decode(a), self._decode(b)
         return self._encode([(x + y) % self.ell for x, y in zip(da, db)])
 
     def mul(self, a: int, b: int) -> int:
-        if self.r == 1:
-            return (a * b) % self.ell
         prod = gfpoly.mul(self._decode(a), self._decode(b), self.ell)
         rem = gfpoly.rem(prod, self.modulus, self.ell)
         rem = rem + [0] * (self.r - len(rem))
@@ -168,17 +164,7 @@ class ExtField:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse(f"0 has no inverse in F_{self.q}")
-        if self.r == 1:
-            return pow(a, -1, self.ell)
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroInverse("0 has no negative powers")
-            return 0 if e > 0 else 1
-        e %= self.q - 1
-        result, base = 1, a
+        e, result, base = self.q - 2, 1, a
         while e:
             if e & 1:
                 result = self.mul(result, base)

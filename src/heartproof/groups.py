@@ -74,10 +74,6 @@ def psl2_order(q: int) -> int:
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
-def pgl2_order(q: int) -> int:
-    return q * (q * q - 1)
-
-
 def psl3_order(q: int) -> int:
     return q**3 * (q**3 - 1) * (q * q - 1) // gcd(3, q - 1)
 
@@ -346,8 +342,10 @@ def symmetric_group(n: int) -> PermGroup:
 
 @cache
 def alternating_group(n: int) -> PermGroup:
+    if n < 1:
+        raise ValueError("degree must be >= 1")
     if n < 3:
-        return PermGroup([], degree=max(n, 1), tag=GroupTag.alternating(n))
+        return PermGroup([], degree=n, tag=GroupTag.alternating(n))
     three = perm.parse_perm("(0 1 2)", n)
     if n % 2 == 1:
         big = tuple(list(range(1, n)) + [0])

@@ -30,7 +30,6 @@ from .groups import (
     TooLarge,
     exists_subgroup_of_index_dividing,
     family_heart_table,
-    pgl2_order,
     psl2_order,
     psl3_order,
 )
@@ -58,9 +57,6 @@ class SimplicityVerdict:
     evidence: list[EvidenceItem] = field(default_factory=list)
     # populated for NOT_SIMPLE: rows of an invariant subspace basis
     witness_subspace: list[list[int]] | None = None
-    # n = 5 alternating special case: every non-obvious normal subalgebra
-    # is a 2x2 matrix algebra
-    mat2_subalgebra: bool = False
     # dimension of End_G(heart), when the MeatAxe was consulted
     commutant_dim: int | None = None
 
@@ -71,7 +67,6 @@ class SimplicityVerdict:
 
 TARGET_ORDERS = {
     "PSL2": psl2_order,
-    "PGL2": pgl2_order,
     "PSL3": psl3_order,
 }
 
@@ -105,7 +100,7 @@ def abs_irred_shortcut(g: PermGroup, p: int) -> SimplicityVerdict | None:
     return v
 
 
-def central_simple_by_index(g_or_tag, p: int, n_bound: int) -> SimplicityVerdict | None:
+def central_simple_by_index(g_or_tag, n_bound: int) -> SimplicityVerdict | None:
     """Index criterion: no proper subgroup of index dividing the heart
     dimension upgrades an absolutely irreducible heart to central simple.
 
@@ -154,7 +149,7 @@ def very_simple_alt(n: int, p: int) -> SimplicityVerdict:
             v.attach("diagnostic", "divisibility obstruction unexpectedly passed; "
                                    "p = +-1 mod 5 congruence check disagrees")
         return v
-    v = SimplicityVerdict(Level.CENTRAL_SIMPLE, mat2_subalgebra=True)
+    v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
     v.attach(
         "table-fact",
         f"p = {p} is +-1 mod 5: the heart, pulled back to the binary icosahedral cover, "
@@ -277,7 +272,7 @@ def _computed_verdict(g: PermGroup, p: int) -> SimplicityVerdict:
         return base
     n_bound = heart_dim(g.degree, p)
     try:
-        upgraded = central_simple_by_index(g, p, n_bound)
+        upgraded = central_simple_by_index(g, n_bound)
     except TooLarge as exc:
         base.attach("diagnostic", f"index criterion unavailable: {exc}")
         return base

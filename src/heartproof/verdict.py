@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import modules, perm, probe, simplicity
 from .fields import PRIME_TEST_LIMIT, is_prime
@@ -172,29 +173,24 @@ class _GroupInfo:
     probe_failure: str | None = None
 
 
-# custom groups recur across scenarios (fixtures, fuzzing); construction and
-# what a group memoizes (its point stabilizer, that stabilizer's subgroup
-# classes, its subgroup-index answers) are deterministic, so sharing is safe.
-# The oldest entry goes first once the cache is full, so a long-lived caller
-# does not keep every presentation it was ever given.
-_CUSTOM_GROUP_CACHE: dict[tuple, PermGroup] = {}
-_CUSTOM_GROUP_CACHE_SIZE = 32
-
-
 def custom_group(generators: tuple[str, ...], n: int | None = None) -> PermGroup:
     """The group of the generators (cycle notation) on n points, or on the points
     they move for n = None, a group that also serves n = its degree; cached."""
-    g = _CUSTOM_GROUP_CACHE.get((n, generators)) or _CUSTOM_GROUP_CACHE.get((None, generators))
-    if g is None or n not in (None, g.degree):
-        perms = [perm.parse_perm(x, n or 0) for x in generators]
-        degree = max(map(len, perms))
-        if n not in (None, degree):
-            raise InvalidScenario("generator moves a point beyond n")
-        g = PermGroup(perms, degree, GroupTag.custom(degree))
-        if len(_CUSTOM_GROUP_CACHE) >= _CUSTOM_GROUP_CACHE_SIZE:
-            del _CUSTOM_GROUP_CACHE[next(iter(_CUSTOM_GROUP_CACHE))]
-        _CUSTOM_GROUP_CACHE[(n, generators)] = g
-    return g
+    g = _custom_group_on(generators, None)
+    return g if n in (None, g.degree) else _custom_group_on(generators, n)
+
+
+# custom groups recur across scenarios (fixtures, fuzzing); construction and
+# what a group memoizes (point stabilizer, subgroup classes, index answers)
+# are deterministic, so sharing is safe. n = the degree shares the n = None
+# entry, so the 21 group files of an analyze-groups round fit in 32 entries.
+@lru_cache(maxsize=32)
+def _custom_group_on(generators: tuple[str, ...], n: int | None) -> PermGroup:
+    perms = [perm.parse_perm(x, n or 0) for x in generators]
+    degree = max(map(len, perms))
+    if n not in (None, degree):
+        raise InvalidScenario("generator moves a point beyond n")
+    return PermGroup(perms, degree, GroupTag.custom(degree))
 
 
 def _resolve_group(s: Scenario) -> _GroupInfo:

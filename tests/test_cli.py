@@ -99,7 +99,7 @@ def full_parser_main(argv):
         or getattr(args, "poly", None)
     ):
         parser.error("one of --group, --group-file or --poly is required")
-    return args.func(args)
+    return cli._run(args)
 
 
 PARSE_ARGVS = [
@@ -132,6 +132,35 @@ def test_parse_path_prints_what_the_full_parser_prints(argv, capsys):
     except SystemExit as exc:
         code = exc.code
     assert got == (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--group", "S", "--n", "4", "--p", "7"], "degree n = 4 must be at least 5"),
+    (["heart", "--group", "A", "--n", "-5", "--p", "7"], "degree must be >= 1"),
+    (["weights", "--n", "5", "--p", "9"], "p = 9 must be an odd prime"),
+    (["group", "--group", "A", "--n", "0"], "degree must be >= 1"),
+    (["probe", "--poly", "x^5 - 2*x^4 + x^3"], "x^5 - 2*x^4 + x^3 has repeated roots"),
+    (["fixtures", "--run", "absent.jsonl"], "fixture file absent.jsonl does not exist"),
+], ids=["analyze", "heart", "weights", "group", "probe", "fixtures"])
+def test_refused_input_prints_one_error_line(argv, message, capsys):
+    # every subcommand refuses through cli._run: exit 1, nothing on stdout,
+    # and one error line
+    assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.filterwarnings("ignore:heart of an intransitive action")  # A5 on 7 points
+def test_group_file_takes_n(tmp_path, capsys):
+    # heart and group place the generators on --n points, as analyze does
+    # (test_group_file_errors_and_parses)
+    path = tmp_path / "a5.txt"
+    path.write_text("(0 1 2)\n(0 1 2 3 4)\n")
+    code, out, _ = run_cli(["heart", "--group-file", str(path), "--n", "7", "--p", "11"], capsys)
+    assert code == 0 and out.startswith("group: custom on 7 points, order 60\n")
+    code, out, _ = run_cli(["group", "--group-file", str(path), "--n", "7"], capsys)
+    assert code == 0 and "degree: 7\n" in out
+    for command in (["heart", "--p", "11"], ["group"]):
+        assert run_cli([*command, "--group-file", str(path), "--n", "3"], capsys) == (
+            1, "", "error: generator moves a point beyond n\n")
 
 
 def test_analyze_refuses_p_beyond_the_proven_prime_test(capsys):
@@ -214,7 +243,7 @@ def test_group_file_errors_and_parses(tmp_path, monkeypatch, capsys):
     # come before the scenario's; with --n the scenario is checked first
     from heartproof import perm, verdict
 
-    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+    verdict._custom_group_on.cache_clear()
     path = tmp_path / "grp.txt"
 
     def analyze(text, p, *extra):
@@ -506,7 +535,7 @@ def test_exhausted_meataxe_is_reported(command, tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     monkeypatch.setattr(modules, "ATTEMPTS", 0)
-    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+    verdict._custom_group_on.cache_clear()
     path = tmp_path / "a5.txt"
     path.write_text("(0 1 2)\n(0 1 2 3 4)\n")
     exhausted = "no singular element of minimal nullity in 0 attempts (modules.ATTEMPTS)"

@@ -26,20 +26,21 @@ def test_shortcut_examples():
 
 
 def test_central_simple_by_index_examples():
-    v = central_simple_by_index(mathieu_group(11), 5, 10)
+    v = central_simple_by_index(mathieu_group(11), 10)
     assert v.level == Level.CENTRAL_SIMPLE
-    v = central_simple_by_index(alternating_group(5), 7, 4)
+    v = central_simple_by_index(alternating_group(5), 4)
     assert v.level == Level.CENTRAL_SIMPLE
-    v = central_simple_by_index(GroupTag.psl2(13), 5, 13)
+    v = central_simple_by_index(GroupTag.psl2(13), 13)
     assert v.level == Level.CENTRAL_SIMPLE
     # index-5 subgroups of A_5 defeat the criterion at bound 10
-    assert central_simple_by_index(alternating_group(5), 7, 10) is None
+    assert central_simple_by_index(alternating_group(5), 10) is None
 
 
 def test_very_simple_alt_trichotomy():
     assert very_simple_alt(6, 11).level == Level.VERY_SIMPLE
     v = very_simple_alt(5, 11)
-    assert v.level == Level.CENTRAL_SIMPLE and v.mat2_subalgebra
+    assert v.level == Level.CENTRAL_SIMPLE
+    assert v.evidence[-1].statement == "every non-obvious normal subalgebra is a 2x2 matrix algebra"
     assert very_simple_alt(5, 7).level == Level.VERY_SIMPLE
     assert very_simple_alt(5, 3).level == Level.VERY_SIMPLE
 
@@ -61,7 +62,6 @@ def test_embedding_obstruction_examples():
     assert simplicity.psl3_order(3) == 5616
     assert simplicity.psl3_order(7) == 1876896
     assert simplicity.psl3_order(7) % 11 != 0  # recomputed 11-divisibility
-    assert embedding_obstruction(60, "PGL2", 11) is True        # 60 | 1320
 
 
 def test_decide_examples():

@@ -188,7 +188,7 @@ def test_very_simple_fallback_reuses_the_heart_rows_meataxe(monkeypatch):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(modules, name, counted)
-    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+    verdict._custom_group_on.cache_clear()
     s = Scenario(10, 3, 1, "custom", generators=PSL2_9, assume_zeta=True)
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     modules.is_irreducible(modules.heart(verdict._resolve_group(s).concrete, 3))
@@ -235,17 +235,22 @@ def test_psl2_heart_table_range():
     assert heart_check(13, 1, 5) is True   # p != l
 
 
-def test_custom_group_cache_drops_the_oldest(monkeypatch):
-    monkeypatch.setattr(verdict, "_CUSTOM_GROUP_CACHE", {})
+def test_custom_group_cache_drops_the_oldest():
+    # the CLI asks without n and dispatch with n = the degree: both calls
+    # share one entry, so 32 groups fit and the least recently used goes
+    verdict._custom_group_on.cache_clear()
     scenarios = []
     for r in itertools.islice(itertools.permutations(range(5)), 33):
         gens = (f"({r[0]} {r[1]} {r[2]})", "(" + " ".join(map(str, r)) + ")")
         scenarios.append(Scenario(5, 11, 1, "custom", generators=gens))
-    groups = [verdict._resolve_group(s).concrete for s in scenarios]
-    assert len(verdict._CUSTOM_GROUP_CACHE) == 32
-    assert verdict._resolve_group(scenarios[-1]).concrete is groups[-1]
+    groups = []
+    for s in scenarios:
+        groups.append(verdict.custom_group(s.generators))
+        assert verdict._resolve_group(s).concrete is groups[-1]
+    assert verdict._custom_group_on.cache_info().currsize == 32
+    assert all(verdict._resolve_group(s).concrete is g for s, g in zip(scenarios[1:], groups[1:]))
     assert verdict._resolve_group(scenarios[0]).concrete is not groups[0]
-    assert len(verdict._CUSTOM_GROUP_CACHE) == 32
+    assert verdict._custom_group_on.cache_info().currsize == 32
 
 
 def test_probe_route():
