@@ -129,11 +129,14 @@ def parse_group_tag(text: str, n: int | None) -> GroupTag:
 
 
 def _group_file_generators(path: str) -> tuple[str, ...]:
+    return tuple(group_file_lines(_read(path, "group file")))
+
+
+def _read(path: str | Path, what: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
-        raise ValueError(f"cannot read group file {path}: {exc.strerror}") from exc
-    return tuple(group_file_lines(text))
+        raise ValueError(f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -179,15 +182,15 @@ def _concrete_group(args) -> PermGroup:
 
 def _cmd_heart(args) -> int:
     g = _concrete_group(args)
-    h = modules.heart(g, args.p)
-    result = modules.is_irreducible(h)
+    judged = modules.judge_heart(g, args.p)
+    h = judged.module
     print(f"group: {g.tag.describe()} on {g.degree} points, order {g.order}")
     print(f"heart: dimension {h.dim} ({h.kind}) over F_{args.p}")
-    if result.irreducible:
-        print(f"irreducible: yes (commutant dimension {modules.commutant_dim(h, result)})")
+    if judged.meataxe.irreducible:
+        print(f"irreducible: yes (commutant dimension {judged.commutant})")
     else:
         print(f"irreducible: no (invariant subspace of dimension "
-              f"{result.invariant_subspace.shape[0]})")
+              f"{judged.meataxe.invariant_subspace.shape[0]})")
     v = simplicity.decide_heart_simplicity(g, g.tag, args.p)
     print(f"simplicity verdict: {v.level.name}")
     for item in v.evidence:
@@ -292,7 +295,7 @@ def _cmd_fixtures(args) -> int:
     if not path.exists():
         raise ValueError(f"fixture file {path} does not exist")
     passed = failed = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read(path, "fixture file").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

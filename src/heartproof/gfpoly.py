@@ -67,7 +67,8 @@ def scale(f: list[int], c: int, p: int) -> list[int]:
     return trim([a * c % p for a in f])
 
 
-def divmod_poly(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+def quo(f: list[int], g: list[int], p: int) -> list[int]:
+    """The quotient of f by g, building no remainder."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     dg = len(g) - 1
@@ -75,14 +76,14 @@ def divmod_poly(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int
     lg_inv = pow(g[-1], -1, p)
     r = list(f)
     quot = [0] * max(0, len(r) - dg)
-    # r stays exact but unreduced below the leading term; one % p at the end
+    # r stays exact but unreduced below the leading term
     for top in range(len(r) - 1, dg - 1, -1):
         c = r[top] * lg_inv % p
         if c:
             shift = top - dg
             quot[shift] = c
             r[shift:top] = [a - c * b for a, b in zip(r[shift:top], low)]
-    return trim(quot), trim([a % p for a in r[:dg]])
+    return trim(quot)
 
 
 def monic(f: list[int], p: int) -> list[int]:
@@ -92,7 +93,7 @@ def monic(f: list[int], p: int) -> list[int]:
 
 
 def rem(f: list[int], g: list[int], p: int) -> list[int]:
-    """f mod g: the remainder of `divmod_poly` without building the quotient."""
+    """f mod g, building no quotient."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     dg = len(g) - 1
@@ -207,7 +208,7 @@ def squarefree_part(f: list[int], p: int) -> list[int]:
         h = [f[i] for i in range(0, len(f), p)]
         return squarefree_part(h, p)
     g = gcd(f, d, p)
-    w = divmod_poly(f, g, p)[0]
+    w = quo(f, g, p)
     if degree(g) == 0:
         return w
     # The factors of g not already in w are p-th power contributions.
@@ -216,7 +217,7 @@ def squarefree_part(f: list[int], p: int) -> list[int]:
         c = gcd(rest, w, p)
         if degree(c) == 0:
             break
-        rest = divmod_poly(rest, c, p)[0]
+        rest = quo(rest, c, p)
     if degree(rest) == 0:
         return w
     return mul(w, squarefree_part(rest, p), p)
@@ -250,7 +251,7 @@ def distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         g = gcd(sub(h, [0, 1], p), rest, p)
         if degree(g) > 0:
             out.append((g, d))
-            rest = divmod_poly(rest, g, p)[0]
+            rest = quo(rest, g, p)
     return out
 
 
@@ -295,7 +296,7 @@ def _split_equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> lis
             if not 0 < degree(g) < n:
                 continue
         left = _split_equal_degree(g, d, p, rng)
-        right = _split_equal_degree(divmod_poly(f, g, p)[0], d, p, rng)
+        right = _split_equal_degree(quo(f, g, p), d, p, rng)
         return left + right
 
 

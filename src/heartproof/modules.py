@@ -10,26 +10,21 @@ Irreducibility is decided by the MeatAxe: a randomized search for an
 algebra element with an irreducible charpoly factor of minimal nullity,
 combined with spin-up in the module and its dual (Norton's criterion).
 The commutant of an irreducible module is then read from that certificate,
-which keeps the null space and the standard basis the MeatAxe spun.
-
-Both are memoised per process, by the module's exact content: p, the
-dimension and the dtype, shape and bytes of each generator matrix, compared
-in full, so a hash collision cannot hand out another module's verdict. The
+which keeps the null space and the standard basis the MeatAxe spun. The
 search is seed-free: it tries the generator matrices themselves, then random
 elements drawn from one Random(0) stream, at most `ATTEMPTS` in all. The
 monic irreducible factors of a charpoly are unique and are tried in one
-fixed order, so the verdict is a function of the module, and the memo keeps
-it once, with its commutant dimension. At most `MEMO_BYTES` are kept, oldest
-entry first, and an entry larger than that alone is not kept. A result is
-frozen, and the arrays of a verdict the memo holds are read-only, since
-every later caller shares them.
+fixed order, so the verdict is a function of the module.
 
-Hearts share that memo and its budget, keyed by the value (generators,
-degree, p), never by the group, so that the memo keeps no evicted group or
-its stabilizer chain alive. A heart's entry holds only its content key: each
-call wraps the key's bytes in read-only matrices, and the MeatAxe and the
-commutant look the module up by that key without serialising it again. The
-prime check and the intransitive-action warning run on every call.
+`judge_heart` memoises hearts per process, one entry per heart under the
+value (generators, degree, p), never the group, so that the memo keeps no
+evicted group or its stabilizer chain alive. The entry is made once, on a
+miss, where the heart is built and the intransitive-action warning given.
+It holds the heart's matrices, dimension and kind, its MeatAxe verdict and
+its commutant dimension, None when the heart is reducible. At most
+`MEMO_BYTES` are kept, oldest entry first, and an entry larger than that
+alone is not kept. An entry and its verdict are frozen and their arrays are
+read-only, since every later caller shares them.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count, islice
 
 import numpy as np
@@ -79,9 +74,6 @@ class GModule:
 class HeartModule(GModule):
     n: int = 0
     kind: str = "hyperplane"  # or "quotient" when p | n
-    # the memo key of gen_matrices, made once by `heart`, whose matrices are
-    # read-only views of the key's bytes
-    content: tuple | None = field(default=None, repr=False)
 
 
 def heart_matrix(g: Perm, p: int) -> np.ndarray:
@@ -108,25 +100,14 @@ def heart_matrix(g: Perm, p: int) -> np.ndarray:
 
 
 def heart(g: PermGroup, p: int) -> HeartModule:
-    """The heart of the permutation representation of g over F_p, kept in
-    the memo under the value (generators, degree, p) (module docstring)."""
+    """The heart of the permutation representation of g over F_p."""
     n = g.degree
     _require_odd_prime(p, n - 1)  # n - 1 bounds the heart's dimension
     if not g.is_transitive():
         warnings.warn("heart of an intransitive action; dimension laws still apply", stacklevel=2)
     kind = "quotient" if n % p == 0 else "hyperplane"
-    index = (g.generators, n, p)
-    kept = _MEMO.entries.get(index)
-    if kept is None:
-        dim = n - 2 if kind == "quotient" else n - 1
-        content = _content(GModule(None, p, dim, [heart_matrix(x, p) for x in g.generators]))
-        # per generator: its n pointers, and the headers of its tuple and of
-        # its matrix's tuple, shape and bytes, measured with tracemalloc
-        nbytes = _key_bytes(content) + (8 * n + 256) * len(g.generators)
-        kept = _MEMO.keep(index, _Heart(content, nbytes))
-    content = kept.content
-    mats = [np.frombuffer(b, dtype).reshape(shape) for dtype, shape, b in content[2]]
-    return HeartModule(g, p, content[1], mats, n=n, kind=kind, content=content)
+    dim = n - 2 if kind == "quotient" else n - 1
+    return HeartModule(g, p, dim, [heart_matrix(x, p) for x in g.generators], n=n, kind=kind)
 
 
 def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
@@ -182,57 +163,38 @@ class IrreducibilityResult:
     recipe: tuple[tuple[int, int], ...] | None = None
 
 
-# Bytes the MeatAxe memo keeps at most: about 170 hearts of dimension 20 on
-# two generators fit, and no run of new modules grows the process past it.
+# Bytes the heart memo keeps at most: about 160 hearts of dimension 20 on
+# two generators fit, and no run of new hearts grows the process past it.
 MEMO_BYTES = 2 * 2**20
 # MeatAxe attempts per search, the generator matrices included.
 ATTEMPTS = 200
-# Python objects around each entry kept (result, tuples, array headers, dict
-# slots), measured with tracemalloc; the matrices and arrays are counted exactly.
-_OBJECT_BYTES = 1536
+# Python objects around each entry kept (key, entry, module, result, tuples,
+# array headers, dict slot), measured with tracemalloc; the arrays, recipe
+# steps and the key's generator tuples are counted on their own.
+_OBJECT_BYTES = 1600
 
 
-@dataclass
-class _Found:
-    """The MeatAxe verdict for one module content, the entry's bytes, and
-    the verdict's commutant dimension, None until computed."""
+@dataclass(frozen=True, eq=False)
+class HeartVerdict:
+    """A heart (holding no group), its MeatAxe verdict and its commutant
+    dimension, None when the heart is reducible; the memo counts `nbytes`."""
 
-    verdict: IrreducibilityResult
-    nbytes: int
-    commutant: int | None = None
-
-
-@dataclass
-class _Heart:
-    """A heart's content key, whose bytes hold its matrices, and the
-    entry's bytes."""
-
-    content: tuple
+    module: HeartModule
+    meataxe: IrreducibilityResult
+    commutant: int | None
     nbytes: int
 
 
 class _Memo:
-    """Module content -> `_Found` and (generators, degree, p) -> `_Heart`,
-    at most `MEMO_BYTES` of both, oldest dropped first. A content key starts
-    with p and a heart's with a tuple, so the two never meet. Not locked:
-    heartproof calls the MeatAxe from one thread."""
+    """(generators, degree, p) -> `HeartVerdict`, at most `MEMO_BYTES` in
+    all, oldest dropped first. Not locked: heartproof judges hearts from one
+    thread."""
 
     def __init__(self):
-        self.entries: OrderedDict[tuple, _Found | _Heart] = OrderedDict()
+        self.entries: OrderedDict[tuple, HeartVerdict] = OrderedDict()
         self.nbytes = 0
 
-    def add(self, key: tuple, verdict: IrreducibilityResult) -> _Found:
-        """Keep `verdict` under `key` and return its entry."""
-        arrays = [x for x in (verdict.invariant_subspace, verdict.null_space, verdict.basis)
-                  if x is not None]
-        for x in arrays:
-            x.flags.writeable = False
-        # a recipe step is a tuple of two small ints: 64 bytes
-        nbytes = (_key_bytes(key) + sum(x.nbytes for x in arrays)
-                  + 64 * len(verdict.recipe or ()))
-        return self.keep(key, _Found(verdict, nbytes))
-
-    def keep(self, key: tuple, entry: _Found | _Heart):
+    def keep(self, key: tuple, entry: HeartVerdict) -> HeartVerdict:
         """Keep `entry` under `key`, unless it alone exceeds `MEMO_BYTES`;
         either way return it."""
         if entry.nbytes <= MEMO_BYTES:
@@ -247,21 +209,26 @@ class _Memo:
 _MEMO = _Memo()
 
 
-def _content(module: GModule) -> tuple:
-    """The memo key: p, the dimension and each generator matrix's dtype,
-    shape and bytes, which the dict compares in full. A heart carries the
-    key `heart` made."""
-    content = getattr(module, "content", None)
-    if content is not None:
-        return content
-    return module.p, module.dim, tuple((m.dtype.str, m.shape, m.tobytes())
-                                       for m in module.gen_matrices)
-
-
-def _key_bytes(content: tuple) -> int:
-    """The bytes counted for an entry's content key: the matrices' bytes,
-    and `_OBJECT_BYTES` for the Python objects around the entry."""
-    return _OBJECT_BYTES + sum(len(b) for *_, b in content[2])
+def judge_heart(g: PermGroup, p: int) -> HeartVerdict:
+    """The heart of g over F_p, its MeatAxe verdict and, when irreducible,
+    its commutant dimension, kept in the memo (module docstring)."""
+    key = (g.generators, g.degree, p)
+    kept = _MEMO.entries.get(key)
+    if kept is not None:
+        return kept
+    module = heart(g, p)
+    module.group = None  # the memo keeps no group alive
+    meataxe = is_irreducible(module)
+    commutant = commutant_dim(module, meataxe) if meataxe.irreducible else None
+    arrays = module.gen_matrices + [x for x in (meataxe.invariant_subspace, meataxe.null_space,
+                                                meataxe.basis) if x is not None]
+    for x in arrays:
+        x.flags.writeable = False
+    # a recipe step is a tuple of two small ints, 64 bytes; a generator in
+    # the key is a tuple of n pointers
+    nbytes = (_OBJECT_BYTES + sum(x.nbytes for x in arrays) + 64 * len(meataxe.recipe or ())
+              + (8 * g.degree + 56) * len(g.generators))
+    return _MEMO.keep(key, HeartVerdict(module, meataxe, commutant, nbytes))
 
 
 def _random_algebra_element(mats: list[np.ndarray], p: int, rng: random.Random) -> np.ndarray:
@@ -308,7 +275,7 @@ def is_irreducible(module: GModule) -> IrreducibilityResult:
     factor f with nullity(f(A)) = deg f whose null vector spins up to the
     whole module in both the module and its dual. Attempts 0, 1, ... take
     the generator matrices, then random elements drawn from Random(0), up to
-    `ATTEMPTS` in all. The verdict is memoised (module docstring).
+    `ATTEMPTS` in all.
     """
     p, dim, mats = module.p, module.dim, module.gen_matrices
     if dim < 1:
@@ -317,20 +284,14 @@ def is_irreducible(module: GModule) -> IrreducibilityResult:
         return IrreducibilityResult(True)
     if not mats:
         return IrreducibilityResult(False, invariant_subspace=identity(dim)[:1])
-    key = _content(module)
-    found = _MEMO.entries.get(key)
-    if found is None:
-        rng = random.Random(0)
-        drawn = (_random_algebra_element(mats, p, rng) for _ in count())
-        for attempt, a in enumerate(islice(chain(mats, drawn), ATTEMPTS)):
-            verdict = _attempt(a, attempt, mats, p)
-            if verdict is not None:
-                break
-        else:
-            raise RandomnessExhausted(f"no singular element of minimal nullity in {ATTEMPTS} "
-                                      "attempts (modules.ATTEMPTS)")
-        found = _MEMO.add(key, verdict)
-    return found.verdict
+    rng = random.Random(0)
+    drawn = (_random_algebra_element(mats, p, rng) for _ in count())
+    for attempt, a in enumerate(islice(chain(mats, drawn), ATTEMPTS)):
+        verdict = _attempt(a, attempt, mats, p)
+        if verdict is not None:
+            return verdict
+    raise RandomnessExhausted(f"no singular element of minimal nullity in {ATTEMPTS} "
+                              "attempts (modules.ATTEMPTS)")
 
 
 def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
@@ -343,22 +304,12 @@ def commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
     dim End_G(V) <= e = dim N. For w in N, the map X_w sending the standard
     basis to the words of its recipe applied to w is the only candidate with
     vX = w, and End_G(V) is the null space of w -> ([X_w, M(g)])_g on N.
-    Memoised for the verdict the memo holds for this module's content.
     """
     if not result.irreducible:
         raise ValueError("commutant_dim needs an irreducible MeatAxe result")
-    if module.dim == 1:
-        return 1
-    found = _MEMO.entries.get(_content(module))
-    if found is None or result is not found.verdict:
-        return _commutant_dim(module, result)
-    if found.commutant is None:
-        found.commutant = _commutant_dim(module, result)
-    return found.commutant
-
-
-def _commutant_dim(module: GModule, result: IrreducibilityResult) -> int:
     p, d, mats = module.p, module.dim, module.gen_matrices
+    if d == 1:
+        return 1
     if (result.basis is None or result.basis.shape != (d, d)
             or max(g for _, g in result.recipe) >= len(mats)):
         raise ValueError("irreducibility certificate does not match this module")

@@ -241,20 +241,20 @@ def decide_heart_simplicity(g: PermGroup | None, tag: GroupTag, p: int) -> Simpl
 def absolute_simplicity(g: PermGroup, p: int) -> SimplicityVerdict:
     """NOT_SIMPLE, SIMPLE or ABSOLUTELY_SIMPLE for the heart of a concrete group.
 
-    The shortcut answers first, else the MeatAxe and the commutant, whose
-    dimension is recorded; both are memo lookups for a heart seen before.
+    The shortcut answers first, else the heart's one memo entry
+    (`modules.judge_heart`): its MeatAxe verdict and commutant dimension,
+    which is recorded.
     """
     short = abs_irred_shortcut(g, p)
     if short is not None:
         return short
-    h = modules.heart(g, p)
-    result = modules.is_irreducible(h)
-    if not result.irreducible:
-        rows = [[int(x) for x in row] for row in result.invariant_subspace]
+    judged = modules.judge_heart(g, p)
+    if not judged.meataxe.irreducible:
+        rows = [[int(x) for x in row] for row in judged.meataxe.invariant_subspace]
         v = SimplicityVerdict(Level.NOT_SIMPLE, witness_subspace=rows)
         return v.attach("computation", f"invariant subspace of dimension {len(rows)} "
-                                       f"inside the {h.dim}-dimensional heart")
-    cdim = modules.commutant_dim(h, result)
+                                       f"inside the {judged.module.dim}-dimensional heart")
+    cdim = judged.commutant
     if cdim != 1:
         v = SimplicityVerdict(Level.SIMPLE)
         v.attach("computation", f"heart irreducible but commutant has dimension {cdim} > 1")

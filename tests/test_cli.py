@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -141,7 +142,8 @@ def test_parse_path_prints_what_the_full_parser_prints(argv, capsys):
     (["group", "--group", "A", "--n", "0"], "degree must be >= 1"),
     (["probe", "--poly", "x^5 - 2*x^4 + x^3"], "x^5 - 2*x^4 + x^3 has repeated roots"),
     (["fixtures", "--run", "absent.jsonl"], "fixture file absent.jsonl does not exist"),
-], ids=["analyze", "heart", "weights", "group", "probe", "fixtures"])
+    (["fixtures", "--run", "."], "cannot read fixture file .: Is a directory"),
+], ids=["analyze", "heart", "weights", "group", "probe", "fixtures", "fixtures-directory"])
 def test_refused_input_prints_one_error_line(argv, message, capsys):
     # every subcommand refuses through cli._run: exit 1, nothing on stdout,
     # and one error line
@@ -161,6 +163,26 @@ def test_group_file_takes_n(tmp_path, capsys):
     for command in (["heart", "--p", "11"], ["group"]):
         assert run_cli([*command, "--group-file", str(path), "--n", "3"], capsys) == (
             1, "", "error: generator moves a point beyond n\n")
+
+
+@pytest.mark.parametrize("command", ["heart", "analyze"])
+def test_intransitive_heart_warns_once(command, tmp_path, monkeypatch, capsys):
+    # the warning comes where the heart is built, once per request from an
+    # empty memo, although the report and the verdict both read the heart
+    from heartproof import modules
+
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+    path = tmp_path / "a5.txt"
+    path.write_text("(0 1 2)\n(0 1 2 3 4)\n")
+    # analyze reaches the heart row only with the root of unity assumed
+    zeta = ["--assume-zeta"] if command == "analyze" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli([command, "--group-file", str(path), "--n", "7", "--p", "11",
+                                *zeta], capsys)
+    assert code in (0, 2) and out
+    assert [str(w.message) for w in caught] == [
+        "heart of an intransitive action; dimension laws still apply"]
 
 
 def test_analyze_refuses_p_beyond_the_proven_prime_test(capsys):
@@ -512,20 +534,19 @@ def test_heart_runs_one_meataxe(monkeypatch, capsys):
     from heartproof import modules
     from heartproof.groups import mathieu_group
 
-    calls = {"_attempt": 0, "_commutant_dim": 0}
+    calls = {"_attempt": 0, "commutant_dim": 0}
     for name in calls:
         def counted(*args, _f=getattr(modules, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(modules, name, counted)
-    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     modules.is_irreducible(modules.heart(mathieu_group(11), 3))
     fresh = calls["_attempt"]
     calls["_attempt"] = 0
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     code, out, _ = run_cli(["heart", "--group", "M11", "--p", "3"], capsys)
     assert code == 0 and "[computation] heart irreducible" in out
-    assert fresh > 0 and calls == {"_attempt": fresh, "_commutant_dim": 1}
+    assert fresh > 0 and calls == {"_attempt": fresh, "commutant_dim": 1}
 
 
 @pytest.mark.parametrize("command", ["heart", "analyze"])

@@ -11,7 +11,7 @@ def test_mul_divmod_roundtrip():
         p = rng.choice([2, 3, 5, 7, 13])
         f = [rng.randrange(p) for _ in range(rng.randrange(1, 9))] + [rng.randrange(1, p)]
         g = [rng.randrange(p) for _ in range(rng.randrange(0, 6))] + [rng.randrange(1, p)]
-        q, r = gfpoly.divmod_poly(f, g, p)
+        q, r = gfpoly.quo(f, g, p), gfpoly.rem(f, g, p)
         assert gfpoly.sub(gfpoly.reduce(f, p), r, p) == gfpoly.mul(q, g, p)
         assert gfpoly.degree(r) < gfpoly.degree(g)
 
@@ -23,8 +23,8 @@ def test_gcd_divides_both():
         f = [rng.randrange(p) for _ in range(5)] + [1]
         g = [rng.randrange(p) for _ in range(4)] + [1]
         d = gfpoly.gcd(f, g, p)
-        assert not gfpoly.divmod_poly(f, d, p)[1]
-        assert not gfpoly.divmod_poly(g, d, p)[1]
+        assert not gfpoly.rem(f, d, p)
+        assert not gfpoly.rem(g, d, p)
 
 
 def test_factor_degrees_examples():
@@ -61,7 +61,7 @@ def test_factor_squarefree_reconstructs():
             prod = gfpoly.mul(prod, g, p)
             d = gfpoly.degree(g)
             # irreducible over F_p: x^(p^d) = x mod g and no smaller power works
-            assert gfpoly.pow_mod([0, 1], p**d, g, p) == gfpoly.divmod_poly([0, 1], g, p)[1]
+            assert gfpoly.pow_mod([0, 1], p**d, g, p) == gfpoly.rem([0, 1], g, p)
             for e in range(1, d):
                 diff = gfpoly.sub(gfpoly.pow_mod([0, 1], p**e, g, p), [0, 1], p)
                 assert gfpoly.degree(gfpoly.gcd(diff, g, p)) == 0

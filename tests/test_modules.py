@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import warnings
 import weakref
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from heartproof import linalg, modules, perm
 from heartproof.groups import (PermGroup, alternating_group, mathieu_group, psl2_group,
                                symmetric_group)
-from heartproof.modules import commutant_dim, heart, heart_matrix, is_irreducible
+from heartproof.modules import commutant_dim, heart, heart_matrix, is_irreducible, judge_heart
 
 from intertwiners import is_invertible, module_iso, permutation_module, tensor, word_matrix
 from kronecker import kronecker_commutant_dim
@@ -23,8 +24,7 @@ def cyclic5():
 
 
 def forget_meataxe(monkeypatch):
-    """An empty module memo, without verdicts or hearts, so that what
-    follows is computed afresh."""
+    """An empty heart memo, so that what follows is computed afresh."""
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
 
 
@@ -71,12 +71,17 @@ def test_heart_examples():
     assert heart(mathieu_group(11), 5).dim == 10
 
 
-def test_heart_warns_intransitive():
+def test_heart_warns_intransitive(monkeypatch):
     g = PermGroup([perm.parse_perm("(0 1)", 5)], 5)
-    # the second call is a memo hit, and warns all the same
-    for _ in range(2):
-        with pytest.warns(UserWarning):
-            heart(g, 3)
+    forget_meataxe(monkeypatch)
+    # the warning comes where the heart is built: on a miss, not on a hit
+    with pytest.warns(UserWarning, match="intransitive"):
+        judged = judge_heart(g, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert judge_heart(g, 3) is judged
+    with pytest.warns(UserWarning, match="intransitive"):
+        heart(g, 3)
 
 
 def count_heart_matrix(monkeypatch) -> list[int]:
@@ -95,33 +100,32 @@ def test_heart_is_memoised_by_the_generators(monkeypatch):
     forget_meataxe(monkeypatch)
     calls = count_heart_matrix(monkeypatch)
     g = mathieu_group(11)
-    first = heart(g, 5)
+    first = judge_heart(g, 5)
     assert calls == [len(g.generators)]
     # an equal group built afresh hits the same entry, and is the one returned
     same = PermGroup(list(g.generators), g.degree)
-    again = heart(same, 5)
-    assert calls == [len(g.generators)] and again.group is same and first.group is g
-    assert again.content is first.content and (again.dim, again.kind) == (10, "hyperplane")
-    for m in again.gen_matrices:
-        with pytest.raises(ValueError, match="read-only"):
-            m[0, 0] = 1
+    assert judge_heart(same, 5) is first and calls == [len(g.generators)]
+    h = first.module
+    assert h.group is None and (h.dim, h.kind, h.n, h.p) == (10, "hyperplane", 11, 5)
     forget_meataxe(monkeypatch)
-    fresh = heart(g, 5)
+    fresh = judge_heart(g, 5)
     assert calls == [2 * len(g.generators)]
-    assert all(np.array_equal(a, b) for a, b in zip(again.gen_matrices, fresh.gen_matrices))
-    assert [heart_matrix(x, 5).tolist() for x in g.generators] == [
-        m.tolist() for m in fresh.gen_matrices]
+    assert all(np.array_equal(a, b) for a, b in zip(h.gen_matrices, fresh.module.gen_matrices))
+    # the plain heart is the same module, on the group it was given
+    plain = heart(g, 5)
+    assert plain.group is g and [m.tolist() for m in plain.gen_matrices] == [
+        m.tolist() for m in fresh.module.gen_matrices]
 
 
 def test_heart_memo_keys_by_value_and_keeps_no_group(monkeypatch):
     forget_meataxe(monkeypatch)
     g = alternating_group(6)
-    heart(g, 7)
+    judge_heart(g, 7)
     # the same group on other point names gets its own entry
     relabelled = PermGroup([perm.conjugate(x, (1, 0, 3, 5, 2, 4)) for x in g.generators], 6)
     assert relabelled.generators != g.generators and relabelled.order == g.order
-    h = heart(relabelled, 7)
-    assert len(modules._MEMO.entries) == 2
+    h = judge_heart(relabelled, 7).module
+    assert list(modules._MEMO.entries) == [(g.generators, 6, 7), (relabelled.generators, 6, 7)]
     assert [m.tolist() for m in h.gen_matrices] == [
         heart_matrix(x, 7).tolist() for x in relabelled.generators]
     # the key holds the generators' values, never the group
@@ -134,18 +138,27 @@ def test_heart_memo_keys_by_value_and_keeps_no_group(monkeypatch):
 def test_heart_memo_shares_the_verdicts_budget(monkeypatch):
     a5, m24 = alternating_group(5), mathieu_group(24)
     forget_meataxe(monkeypatch)
-    is_irreducible(heart(a5, 7))
-    # room for the A5 heart and its verdict: the M24 heart alone is larger
+    kept = [judge_heart(a5, 7), judge_heart(cyclic5(), 11)]
+    # one budget counts each heart's matrices and its verdict's arrays together
+    for judged in kept:
+        r = judged.meataxe
+        arrays = [*judged.module.gen_matrices,
+                  *(x for x in (r.invariant_subspace, r.null_space, r.basis) if x is not None)]
+        assert judged.nbytes > (modules._OBJECT_BYTES + sum(x.nbytes for x in arrays)
+                                + 64 * len(r.recipe or ()))
+    # room for these two: the M24 entry alone is larger, is not kept and
+    # pushes out nothing
     monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
     calls = count_heart_matrix(monkeypatch)
-    first, again = heart(m24, 5), heart(m24, 5)
-    assert calls == [2 * len(m24.generators)]
-    assert len(modules._MEMO.entries) == 2
-    assert all(np.array_equal(a, b) for a, b in zip(first.gen_matrices, again.gen_matrices))
-    # a new heart and its verdict push out the oldest entries, the A5 heart first
-    is_irreducible(heart(symmetric_group(5), 7))
+    first, again = judge_heart(m24, 5), judge_heart(m24, 5)
+    assert calls == [2 * len(m24.generators)] and first is not again
+    assert list(modules._MEMO.entries.values()) == kept
+    assert all(np.array_equal(a, b)
+               for a, b in zip(first.module.gen_matrices, again.module.gen_matrices))
+    # a new heart pushes out the oldest entry, the A5 heart's
+    judge_heart(symmetric_group(5), 7)
     memo = modules._MEMO
-    assert (a5.generators, 5, 7) not in memo.entries
+    assert (a5.generators, 5, 7) not in memo.entries and len(memo.entries) == 2
     assert memo.nbytes == sum(e.nbytes for e in memo.entries.values()) <= modules.MEMO_BYTES
 
 
@@ -227,7 +240,7 @@ def test_commutant_certificate_shapes():
 
 
 def test_commutant_rejects_reducible_and_foreign_results():
-    # each module's own result is memoised first, its commutant with it
+    # each module's own result serves its commutant
     for own in [heart(symmetric_group(11), 5),
                 modules.GModule(cyclic5(), 5, 10, [linalg.identity(10)]),
                 modules.GModule(cyclic5(), 5, 10, [linalg.identity(10)] * 2)]:
@@ -261,7 +274,6 @@ def test_commutant_reads_the_certificate(monkeypatch):
     def rebuilt(*args, **kwargs):
         raise AssertionError("commutant_dim recomputed what the MeatAxe found")
 
-    forget_meataxe(monkeypatch)
     h = heart(mathieu_group(11), 5)
     wide = is_irreducible(h)
     line_heart = heart(symmetric_group(8), 11)
@@ -284,12 +296,10 @@ def test_commutant_reads_the_certificate(monkeypatch):
     assert commutant_dim(line_heart, line) == 1 and len(shapes) == 2
 
 
-def test_meataxe_seed_determinism(monkeypatch):
+def test_meataxe_seed_determinism():
     """Two fresh searches give one certificate: the only randomness is Random(0)."""
     h = heart(mathieu_group(11), 5)
-    forget_meataxe(monkeypatch)
     a = is_irreducible(h)
-    forget_meataxe(monkeypatch)
     b = is_irreducible(h)
     assert a is not b
     assert a.irreducible and b.irreducible
@@ -304,49 +314,45 @@ def psl2_16_heart(p):
     return h
 
 
-def memo_cases():
-    """S10 and M11 at p = 5, the 7-cycle's at p = 11, PSL2(16)'s at p = 3."""
+def memo_groups():
+    """S10 and M11 at p = 5, the 7-cycle at p = 11, PSL2(16) at p = 3."""
     seven = PermGroup([perm.parse_perm("(0 1 2 3 4 5 6)")], 7)
-    return [heart(symmetric_group(10), 5), heart(mathieu_group(11), 5), heart(seven, 11),
-            psl2_16_heart(3)]
+    return [(symmetric_group(10), 5), (mathieu_group(11), 5), (seven, 11), (psl2_group(2, 4), 3)]
 
 
 def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
     forget_meataxe(monkeypatch)
-    cases = memo_cases()
-    first = []
-    for h in cases:
-        r = is_irreducible(h)
-        first.append((r, commutant_dim(h, r) if r.irreducible else None))
+    first = [judge_heart(g, p) for g, p in memo_groups()]
     # the 7-cycle's heart splits at p = 11; PSL2(16)'s is decided by a random draw
-    assert [r.irreducible for r, _ in first] == [True, True, False, True]
-    assert first[3][0].attempt == 4
-    again = [is_irreducible(h) for h in cases]
-    assert all(a is r for a, (r, _) in zip(again, first))
-    for h, a, (_, cdim) in zip(cases, again, first):
-        a_cdim = commutant_dim(h, a) if a.irreducible else None
+    assert [j.meataxe.irreducible for j in first] == [True, True, False, True]
+    assert first[3].meataxe.attempt == 4
+    assert all(judge_heart(g, p) is j for (g, p), j in zip(memo_groups(), first))
+    for (g, p), hit in zip(memo_groups(), first):
         forget_meataxe(monkeypatch)
-        fresh = is_irreducible(h)
-        assert fresh is not a
-        assert_same_result(a, fresh)
-        if fresh.irreducible:
-            assert a_cdim == cdim == commutant_dim(h, fresh) == kronecker_commutant_dim(h)
+        fresh = judge_heart(g, p)
+        assert fresh is not hit
+        assert_same_result(hit.meataxe, fresh.meataxe)
+        assert hit.commutant == fresh.commutant
+        if fresh.meataxe.irreducible:
+            assert hit.commutant == kronecker_commutant_dim(fresh.module)
+        else:
+            assert hit.commutant is None
 
 
 def test_meataxe_generator_verdicts_ignore_the_seed(monkeypatch):
-    """A verdict is one object for every later call, equal to a fresh search,
-    and decided within the generator matrices and the first 8 draws: the
-    attempts every seed shared before the search became seed-free."""
-    prefix_decided = [psl2_16_heart(3), psl2_16_heart(7), heart(psl2_group(5, 2), 3)]
-    for h in memo_cases()[:3] + prefix_decided:
+    """A memoised verdict is one object for every later call, equal to a
+    fresh search, and decided within the generator matrices and the first 8
+    draws: the attempts every seed shared before the search became
+    seed-free."""
+    prefix_decided = [(psl2_group(2, 4), 3), (psl2_group(2, 4), 7), (psl2_group(5, 2), 3)]
+    for g, p in memo_groups()[:3] + prefix_decided:
         forget_meataxe(monkeypatch)
-        base = is_irreducible(h)
-        assert base.attempt is None or base.attempt < len(h.gen_matrices) + 8
-        assert all(is_irreducible(h) is base for _ in range(10))
-        forget_meataxe(monkeypatch)
-        assert_same_result(is_irreducible(h), base)
-    for h in prefix_decided:
-        assert is_irreducible(h).attempt >= len(h.gen_matrices)
+        base = judge_heart(g, p).meataxe
+        assert base.attempt is None or base.attempt < len(g.generators) + 8
+        assert all(judge_heart(g, p).meataxe is base for _ in range(10))
+        assert_same_result(is_irreducible(heart(g, p)), base)
+    for g, p in prefix_decided:
+        assert judge_heart(g, p).meataxe.attempt >= len(g.generators)
 
 
 def test_meataxe_attempts_are_the_generators_then_one_random_0_stream(monkeypatch):
@@ -365,7 +371,6 @@ def test_meataxe_attempts_are_the_generators_then_one_random_0_stream(monkeypatc
         monkeypatch.setattr(modules, "_attempt",
                             lambda *args, r=refuse_below: recorded(*args, refuse_below=r))
         monkeypatch.setattr(modules, "ATTEMPTS", 30)
-        forget_meataxe(monkeypatch)
         seen.clear()
         if decided is None:
             with pytest.raises(modules.RandomnessExhausted, match="in 30 attempts"):
@@ -388,57 +393,58 @@ def test_meataxe_budget_bounds_memoised_attempts(monkeypatch):
     default = modules.ATTEMPTS
     for module, attempts in [(h, 4), (s10, 0)]:
         monkeypatch.setattr(modules, "ATTEMPTS", default)
-        forget_meataxe(monkeypatch)
         r = is_irreducible(module)
         assert r.attempt == attempts
         monkeypatch.setattr(modules, "ATTEMPTS", attempts)
-        forget_meataxe(monkeypatch)
         with pytest.raises(modules.RandomnessExhausted, match=f"in {attempts} attempts"):
             is_irreducible(module)
         # the verdict of attempt k needs k + 1 attempts
         monkeypatch.setattr(modules, "ATTEMPTS", attempts + 1)
-        forget_meataxe(monkeypatch)
         assert_same_result(is_irreducible(module), r)
 
 
 def test_meataxe_results_are_read_only():
-    irreducible = is_irreducible(heart(mathieu_group(11), 5))
-    reducible = is_irreducible(heart(cyclic5(), 11))
-    for array in (irreducible.null_space, irreducible.basis, reducible.invariant_subspace):
+    irreducible = judge_heart(mathieu_group(11), 5)
+    reducible = judge_heart(cyclic5(), 11)
+    for array in (irreducible.meataxe.null_space, irreducible.meataxe.basis,
+                  reducible.meataxe.invariant_subspace,
+                  *irreducible.module.gen_matrices, *reducible.module.gen_matrices):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
-        irreducible.attempt = 3
+        irreducible.meataxe.attempt = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reducible.commutant = 1
 
 
 def test_meataxe_memo_evicts_the_oldest_entry(monkeypatch):
-    old, new = heart(mathieu_group(11), 5), heart(alternating_group(5), 7)
-    # emptied after the hearts were kept, so that it holds verdicts alone
     forget_meataxe(monkeypatch)
-    r = is_irreducible(old)
+    old = judge_heart(mathieu_group(11), 5)
     # room for the older, larger entry alone
     monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
-    s = is_irreducible(new)
-    assert len(modules._MEMO.entries) == 1 and is_irreducible(new) is s
-    again = is_irreducible(old)
-    assert again is not r
-    assert_same_result(again, r)
-    assert commutant_dim(old, again) == commutant_dim(old, r) == 1
+    new = judge_heart(alternating_group(5), 7)
+    assert new.nbytes < old.nbytes
+    assert list(modules._MEMO.entries.values()) == [new]
+    assert judge_heart(alternating_group(5), 7) is new
+    again = judge_heart(mathieu_group(11), 5)
+    assert again is not old
+    assert_same_result(again.meataxe, old.meataxe)
+    assert again.commutant == old.commutant == 1
     assert modules._MEMO.nbytes <= modules.MEMO_BYTES
 
 
 def test_meataxe_memo_keeps_its_entries_past_an_oversize_one(monkeypatch):
-    small, big = heart(alternating_group(5), 7), heart(mathieu_group(11), 5)
     forget_meataxe(monkeypatch)
-    s = is_irreducible(small)
+    small = judge_heart(alternating_group(5), 7)
     # room for the small entry alone: the larger one does not fit even by itself
     monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
-    r = is_irreducible(big)
-    assert len(modules._MEMO.entries) == 1 and is_irreducible(small) is s
-    again = is_irreducible(big)
-    assert again is not r
-    assert_same_result(again, r)
-    assert commutant_dim(big, again) == commutant_dim(big, r) == 1
+    big = judge_heart(mathieu_group(11), 5)
+    assert list(modules._MEMO.entries.values()) == [small]
+    assert judge_heart(alternating_group(5), 7) is small
+    again = judge_heart(mathieu_group(11), 5)
+    assert again is not big
+    assert_same_result(again.meataxe, big.meataxe)
+    assert again.commutant == big.commutant == 1
 
 
 def sweep_groups():
@@ -463,7 +469,6 @@ def test_meataxe_prefix_decides_every_swept_heart(monkeypatch):
     """The generator matrices and the first 8 draws decide every heart here,
     so every seed got the verdict of the seed-free search before it became
     the only one; a heart that needs a later attempt is named."""
-    forget_meataxe(monkeypatch)
     hearts = [heart(g, p) for g in sweep_groups() for p in (3, 5, 7, 11, 13)]
     attempt, last = modules._attempt, []
 
