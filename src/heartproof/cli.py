@@ -9,15 +9,17 @@ computation reads it, since the MeatAxe is seed-free.
 
 argparse (`build_parser`) is the one declaration of the options and the
 one source of help and error text. A plain argv after a subcommand (exact
-option strings, each store option followed by a value that does not start
-with '-', and store_true flags) is read straight from that subparser's
-actions, converting each value with the action's own type; any other argv
-(help, abbreviations, '--opt=value', values starting with '-', '--',
-unknown tokens, failed conversions, a missing required option) goes
-through argparse, so both paths give the same namespace and output.
-A declined argv goes to the subcommand's own parser: 32 µs against 77 µs
-for the whole one (timeit, 2-vCPU host), and 65 of the 162 analyze-poly
-argvs of three benchmark rounds are declined, their polynomial leading '-'.
+option strings, each store option followed by a value, and store_true
+flags) is read straight from that subparser's actions, converting each
+value with the action's own type. A value may start with '-' where
+argparse reads it as a value too: it contains a space (so no option string
+begins with it), no '=' (so no '--opt=' prefix is matched), and its first
+two characters are no option string (so it is no '-h' with its argument
+attached): '-x^5 + 1' is a value, '-x^5+1' and '-h 7' are not.
+Every other argv (help, abbreviations, '--opt=value', other values
+starting with '-', '--', unknown tokens, failed conversions, a missing
+value or required option, no leading subcommand) goes through the whole
+parser, so both paths give the same namespace and output.
 
 `_run` is the one exit for a refused input: a ValueError (InvalidScenario,
 TooLarge, an unreadable or unwritable path, ...) or an exhausted MeatAxe
@@ -158,8 +160,7 @@ def _build_scenario(args) -> verdict.Scenario:
         return verdict.Scenario(n, args.p, args.r, "custom", generators=gens,
                                 assume_zeta=args.assume_zeta, seed=args.seed)
     tag = parse_group_tag(args.group, args.n)
-    n = tag.n if tag.n is not None else args.n
-    return verdict.Scenario(n, args.p, args.r, "tag", tag=tag,
+    return verdict.Scenario(tag.n, args.p, args.r, "tag", tag=tag,
                             assume_zeta=args.assume_zeta, seed=args.seed)
 
 
@@ -385,9 +386,11 @@ def _plain_args(command: _Parser, tokens: list[str]) -> argparse.Namespace | Non
         if type(action) is argparse._StoreTrueAction:
             values[action.dest] = True
             continue
-        value = next(it, "-")  # a missing value is no plain one
+        value = next(it, None)
         if (type(action) is not argparse._StoreAction or action.nargs is not None
-                or action.choices is not None or value.startswith("-")):
+                or action.choices is not None or value is None
+                or value.startswith("-") and (" " not in value or "=" in value
+                                              or value[:2] in command._option_string_actions)):
             return None
         try:
             values[action.dest] = (action.type or str)(value)
@@ -406,20 +409,13 @@ def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    args = _plain_args(command, argv[1:]) if command else None
+    if args is None:
         args = parser.parse_args(argv)
     else:
-        # what the top parser does with a leading subcommand, without first
-        # scanning the whole of argv itself
-        args = _plain_args(command, argv[1:])
-        if args is None:
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
-    if getattr(args, "command", None) in ("analyze", "heart") and not (
-        getattr(args, "group", None) or getattr(args, "group_file", None)
-        or getattr(args, "poly", None)
+    if args.command in ("analyze", "heart") and not (
+        args.group or args.group_file or getattr(args, "poly", None)
     ):
         parser.error("one of --group, --group-file or --poly is required")
     return _run(args)

@@ -42,6 +42,7 @@ from .fields import is_prime, sqrt_mod_p
 from .groups import PermGroup, subgroup_classes, coset_action
 from .linalg import identity, kernel_basis, mat_mul
 from .perm import Perm
+from .weights import heart_dim
 
 
 class RandomnessExhausted(RuntimeError):
@@ -106,8 +107,8 @@ def heart(g: PermGroup, p: int) -> HeartModule:
     if not g.is_transitive():
         warnings.warn("heart of an intransitive action; dimension laws still apply", stacklevel=2)
     kind = "quotient" if n % p == 0 else "hyperplane"
-    dim = n - 2 if kind == "quotient" else n - 1
-    return HeartModule(g, p, dim, [heart_matrix(x, p) for x in g.generators], n=n, kind=kind)
+    return HeartModule(g, p, heart_dim(n, p), [heart_matrix(x, p) for x in g.generators],
+                       n=n, kind=kind)
 
 
 def spin(v: np.ndarray, mats: list[np.ndarray], p: int):

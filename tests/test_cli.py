@@ -81,8 +81,8 @@ def test_parser_is_reused_across_calls(monkeypatch, capsys):
     assert run_cli(["analyze", "--group", "S", "--n", "7", "--p", "11"], capsys) == first
     code, out, _ = run_cli(["weights", "--n", "5", "--p", "3"], capsys)
     assert code == 0 and out
-    # the subcommand path and the full parser's path both use that parser,
-    # and neither leaves state for the other
+    # the plain path and the whole parser's path both use that parser, and
+    # neither leaves state for the other
     monkeypatch.setattr(cli, "build_parser", None)
     assert run_cli(["weights", "--n", "5", "--p", "3", "extra"], capsys)[0] == 64
     assert run_cli(["--p", "3", "weights", "--n", "5"], capsys)[0] == 64
@@ -110,12 +110,16 @@ PARSE_ARGVS = [
     ["probe", "--poly", "x^5 - x - 1", "--budget", "0"],
     ["weights", "--n", "5", "--p", "7", "extra"], ["--p", "7", "weights", "--n", "5"],
     ["weights", "--n", "5", "--p", "7"],
-    # edge forms of the plain path: most fall back to argparse, the repeated
-    # --p and the --assume-zeta forms are read plainly
+    # edge forms of the plain path: most fall back to the whole parser; the
+    # repeated --p, the --assume-zeta forms and a '-'-leading polynomial
+    # with a space are read plainly
     ["heart", "--gr", "A", "--n", "5", "--p", "7"],
     ["heart", "--group", "A", "--n", "5", "--p=7"],
     ["heart", "--group", "A", "--n", "-5", "--p", "7"],
     ["analyze", "--poly", "-x^5 + 1", "--p", "7"],
+    ["analyze", "--poly", "-x^5 + 1", "--p", "7", "--json"],
+    ["heart", "--group", "A", "--n", "5", "--p", "7", "--seed", "-"],
+    ["analyze", "--poly", "-x^5+1", "--p", "7"],
     ["heart", "--group", "A", "--n", "5", "--p", "3", "--p", "5"],
     ["heart", "--group", "A", "--n", "5", "--p", "7", "--seed", "x"],
     ["heart", "--group", "A", "--n", "5", "--p", "7", "--help"],

@@ -1,7 +1,7 @@
 """The plain argv path of `cli.main` against argparse: on hypothesis-drawn
 token lists over every subcommand, `cli._plain_args` either declines or
-returns exactly the namespace `parse_known_args` returns, with no extras
-and no exit."""
+returns exactly the namespace `parse_known_args` returns, with no extras,
+and it never exits or prints."""
 
 import argparse
 import contextlib
@@ -15,7 +15,9 @@ from hypothesis import given, settings  # noqa: E402
 from heartproof import cli  # noqa: E402
 
 PARSER = cli.build_parser()
-VALUES = ["", "-5", "3.5", "x", "-x + 1", "--", "7"]
+# '-'-leading values on both sides of the plain reader's rule
+VALUES = ["", "-5", "3.5", "x", "-x + 1", "--", "7", "-x^5 + 1", "-x^5+1", "-h 7",
+          "--p=7 x", "--g=a b", "-", "-- x"]
 
 
 def tokens(command):
@@ -69,7 +71,10 @@ def test_plain_path_declines_or_matches_argparse(name):
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(tokens(command))
     def check(argv):
-        plain = cli._plain_args(command, argv)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            plain = cli._plain_args(command, argv)
+        assert printed.getvalue() == ""
         if plain is not None:
             assert argparse_reading(command, argv) == (typed(plain), [])
 
@@ -80,7 +85,8 @@ def test_plain_path_declines_or_matches_argparse(name):
     ["heart", "--group", "S", "--n", "11", "--p", "11", "--seed", "871"],
     ["analyze", "--group-file", "F", "--assume-zeta", "--p", "7", "--r", "2", "--json", "J"],
     ["analyze", "--poly", "x^5 - x - 1", "--p", "7"],
-], ids=["heart", "analyze-group-file", "analyze-poly"])
+    ["analyze", "--poly", "-x^5 + 3*x - 1", "--p", "7", "--json", "J"],
+], ids=["heart", "analyze-group-file", "analyze-poly", "analyze-poly-leading-minus"])
 def test_driven_argv_shapes_take_the_plain_path(argv):
     command = PARSER.commands[argv[0]]
     plain = cli._plain_args(command, argv[1:])
