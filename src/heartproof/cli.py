@@ -122,12 +122,14 @@ def parse_group_tag(text: str, n: int | None) -> GroupTag:
             raise ValueError("--n is required for symmetric/alternating groups")
         return GroupTag.symmetric(n) if m.group("sa").upper() == "S" else GroupTag.alternating(n)
     if m.group("mat"):
-        return GroupTag.mathieu(int(m.group("matn")))
-    if m.group("psl"):
-        ell, r = _parse_prime_power(m.group("pslargs"))
-        return GroupTag.psl2(ell, r)
-    ell, r = _parse_prime_power(m.group("u3args"))
-    return GroupTag.psu3(ell, r)
+        tag = GroupTag.mathieu(int(m.group("matn")))
+    elif m.group("psl"):
+        tag = GroupTag.psl2(*_parse_prime_power(m.group("pslargs")))
+    else:
+        tag = GroupTag.psu3(*_parse_prime_power(m.group("u3args")))
+    if n not in (None, tag.n):
+        raise ValueError(f"tag degree {tag.n} of {tag.describe()} does not match n = {n}")
+    return tag
 
 
 def _group_file_generators(path: str) -> tuple[str, ...]:
@@ -151,7 +153,8 @@ def _write(path: str, text: str) -> None:
 def _build_scenario(args) -> verdict.Scenario:
     if args.poly:
         f = probe.parse_poly(args.poly)
-        return verdict.Scenario(f.degree, args.p, args.r, "poly", poly=args.poly,
+        n = f.degree if args.n is None else args.n
+        return verdict.Scenario(n, args.p, args.r, "poly", poly=args.poly,
                                 assume_zeta=args.assume_zeta, seed=args.seed, parsed_poly=f)
     if args.group_file:
         # without --n the degree is the group's, which dispatch then finds cached

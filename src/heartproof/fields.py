@@ -57,48 +57,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) in {-1, 0, 1} for odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def sqrt_mod_p(a: int, p: int) -> int | None:
-    """A square root of a mod the odd prime p, or None for non-residues.
-
-    Returns the smaller of the two roots, so the result is deterministic.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks with the smallest non-residue as auxiliary element.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return min(r, p - r)
-
-
 def lowest_irreducible(ell: int, r: int) -> list[int]:
     """Lowest monic irreducible of degree r over F_ell, ascending coefficients.
 

@@ -38,7 +38,7 @@ from itertools import chain, count, islice
 import numpy as np
 
 from . import gfpoly, linalg
-from .fields import is_prime, sqrt_mod_p
+from .fields import is_prime
 from .groups import PermGroup, subgroup_classes, coset_action
 from .linalg import identity, kernel_basis, mat_mul
 from .perm import Perm
@@ -73,7 +73,6 @@ class GModule:
 
 @dataclass
 class HeartModule(GModule):
-    n: int = 0
     kind: str = "hyperplane"  # or "quotient" when p | n
 
 
@@ -104,11 +103,13 @@ def heart(g: PermGroup, p: int) -> HeartModule:
     """The heart of the permutation representation of g over F_p."""
     n = g.degree
     _require_odd_prime(p, n - 1)  # n - 1 bounds the heart's dimension
+    dim = heart_dim(n, p)
+    if dim < 1:
+        raise ValueError("module dimension must be >= 1")
     if not g.is_transitive():
         warnings.warn("heart of an intransitive action; dimension laws still apply", stacklevel=2)
     kind = "quotient" if n % p == 0 else "hyperplane"
-    return HeartModule(g, p, heart_dim(n, p), [heart_matrix(x, p) for x in g.generators],
-                       n=n, kind=kind)
+    return HeartModule(g, p, dim, [heart_matrix(x, p) for x in g.generators], kind=kind)
 
 
 def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
@@ -458,9 +459,8 @@ def sl2f5_two_dim_reps(p: int) -> Sl2F5Pair:
     """
     if p <= 5 or p % 5 not in (1, 4):
         raise BadCongruence(f"p = {p} is not +-1 mod 5 (or not > 5)")
-    root5 = sqrt_mod_p(5, p)
-    inv2 = pow(2, -1, p)
-    r1, r2 = sorted(((1 + root5) * inv2 % p, (1 - root5) * inv2 % p))
+    # (1 +- sqrt 5)/2 are the roots of x^2 - x - 1, two linear factors over F_p
+    r1, r2 = sorted(-f[0] % p for f in gfpoly.factor_squarefree([p - 1, p - 1, 1], p))
 
     # canonical generators of SL(2, F_5) satisfying the same presentation
     tau5 = 3  # double root of x^2 - x - 1 over F_5

@@ -55,10 +55,6 @@ class EvidenceItem:
 class SimplicityVerdict:
     level: Level
     evidence: list[EvidenceItem] = field(default_factory=list)
-    # populated for NOT_SIMPLE: rows of an invariant subspace basis
-    witness_subspace: list[list[int]] | None = None
-    # dimension of End_G(heart), when the MeatAxe was consulted
-    commutant_dim: int | None = None
 
     def attach(self, kind: str, statement: str) -> "SimplicityVerdict":
         self.evidence.append(EvidenceItem(kind, statement))
@@ -97,24 +93,6 @@ def abs_irred_shortcut(g: PermGroup, p: int) -> SimplicityVerdict | None:
         "table-fact",
         "doubly transitive + order coprime to p forces an absolutely simple heart",
     )
-    return v
-
-
-def central_simple_by_index(g_or_tag, n_bound: int) -> SimplicityVerdict | None:
-    """Index criterion: no proper subgroup of index dividing the heart
-    dimension upgrades an absolutely irreducible heart to central simple.
-
-    Caller must have established absolute irreducibility. Returns None when
-    some qualifying subgroup exists (the criterion then says nothing).
-    """
-    exists, why, source = exists_subgroup_of_index_dividing(g_or_tag, n_bound)
-    if exists:
-        return None
-    v = SimplicityVerdict(Level.CENTRAL_SIMPLE)
-    v.attach("table-fact" if source == "table" else "computation",
-             f"no proper subgroup index divides {n_bound}: {why}")
-    v.attach("table-fact", "index criterion: absolutely irreducible + no index dividing dim "
-                           "=> every normal subalgebra is central simple")
     return v
 
 
@@ -217,8 +195,8 @@ def decide_heart_simplicity(g: PermGroup | None, tag: GroupTag, p: int) -> Simpl
     its record: by the family's very-simplicity case analysis, with
     recomputed obstructions, where it has one, else as central simple from
     the record's table facts. Everything else falls back to
-    `absolute_simplicity` and the index criterion, which need a concrete
-    group: g, or else the one the record builds.
+    `_computed_verdict`, which needs a concrete group: g, or else the one
+    the record builds.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
@@ -238,48 +216,36 @@ def decide_heart_simplicity(g: PermGroup | None, tag: GroupTag, p: int) -> Simpl
     return _computed_verdict(g, p)
 
 
-def absolute_simplicity(g: PermGroup, p: int) -> SimplicityVerdict:
-    """NOT_SIMPLE, SIMPLE or ABSOLUTELY_SIMPLE for the heart of a concrete group.
-
-    The shortcut answers first, else the heart's one memo entry
-    (`modules.judge_heart`): its MeatAxe verdict and commutant dimension,
-    which is recorded.
-    """
-    short = abs_irred_shortcut(g, p)
-    if short is not None:
-        return short
-    judged = modules.judge_heart(g, p)
-    if not judged.meataxe.irreducible:
-        rows = [[int(x) for x in row] for row in judged.meataxe.invariant_subspace]
-        v = SimplicityVerdict(Level.NOT_SIMPLE, witness_subspace=rows)
-        return v.attach("computation", f"invariant subspace of dimension {len(rows)} "
-                                       f"inside the {judged.module.dim}-dimensional heart")
-    cdim = judged.commutant
-    if cdim != 1:
-        v = SimplicityVerdict(Level.SIMPLE)
-        v.attach("computation", f"heart irreducible but commutant has dimension {cdim} > 1")
-    else:
-        v = SimplicityVerdict(Level.ABSOLUTELY_SIMPLE)
-        v.attach("computation", "heart irreducible with scalar commutant (computed)")
-    v.commutant_dim = cdim
-    return v
-
-
 def _computed_verdict(g: PermGroup, p: int) -> SimplicityVerdict:
-    """`absolute_simplicity`, then the index criterion."""
-    base = absolute_simplicity(g, p)
-    if base.level != Level.ABSOLUTELY_SIMPLE:
-        return base
+    """NOT_SIMPLE, SIMPLE or ABSOLUTELY_SIMPLE for the heart of a concrete
+    group, from the shortcut or else the heart's memo entry
+    (`modules.judge_heart`); an absolutely simple heart is then put to the
+    index criterion: no proper subgroup of index dividing the heart
+    dimension makes it central simple."""
+    v = abs_irred_shortcut(g, p)
+    if v is None:
+        judged = modules.judge_heart(g, p)
+        if not judged.meataxe.irreducible:
+            return SimplicityVerdict(Level.NOT_SIMPLE).attach(
+                "computation", f"invariant subspace of dimension "
+                f"{len(judged.meataxe.invariant_subspace)} inside the "
+                f"{judged.module.dim}-dimensional heart")
+        if judged.commutant != 1:
+            return SimplicityVerdict(Level.SIMPLE).attach(
+                "computation", f"heart irreducible but commutant has dimension "
+                               f"{judged.commutant} > 1")
+        v = SimplicityVerdict(Level.ABSOLUTELY_SIMPLE).attach(
+            "computation", "heart irreducible with scalar commutant (computed)")
     n_bound = heart_dim(g.degree, p)
     try:
-        upgraded = central_simple_by_index(g, n_bound)
+        exists, why, source = exists_subgroup_of_index_dividing(g, n_bound)
     except TooLarge as exc:
-        base.attach("diagnostic", f"index criterion unavailable: {exc}")
-        return base
-    if upgraded is None:
-        base.attach("diagnostic", f"some proper subgroup index divides {n_bound}; "
-                                  "central simplicity undetermined by the index criterion")
-        return base
-    upgraded.evidence = base.evidence + upgraded.evidence
-    upgraded.commutant_dim = base.commutant_dim
-    return upgraded
+        return v.attach("diagnostic", f"index criterion unavailable: {exc}")
+    if exists:
+        return v.attach("diagnostic", f"some proper subgroup index divides {n_bound}; "
+                                      "central simplicity undetermined by the index criterion")
+    v.level = Level.CENTRAL_SIMPLE
+    v.attach("table-fact" if source == "table" else "computation",
+             f"no proper subgroup index divides {n_bound}: {why}")
+    return v.attach("table-fact", "index criterion: absolutely irreducible + no index dividing dim "
+                                  "=> every normal subalgebra is central simple")

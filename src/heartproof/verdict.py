@@ -264,25 +264,25 @@ def _check_index_condition(info: _GroupInfo, bound: int) -> Check:
 
 
 def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> Check:
-    """Representation fact: tables for family tags, else the
-    `absolute_simplicity` verdict of a custom group."""
+    """Representation fact: tables for family tags, else the shortcut or
+    the heart memo entry (`modules.judge_heart`) of a custom group."""
     tag = info.tag
     if tag.family is not None:
         cited = family_heart_table(tag, s.p)
         return "table", True if cited else None, tag.family.heart(tag, cited)
     if info.concrete is None:
         return "computed", None, "no concrete group to test"
+    if simplicity.abs_irred_shortcut(info.concrete, s.p) is not None:
+        return "computed", True, "doubly transitive with order coprime to p (shortcut)"
     try:
-        absolute = simplicity.absolute_simplicity(info.concrete, s.p)
+        judged = modules.judge_heart(info.concrete, s.p)
     except modules.RandomnessExhausted as exc:
         return "computed", None, str(exc)
-    if absolute.level == Level.NOT_SIMPLE:
+    if not judged.meataxe.irreducible:
         return ("computed", False,
-                f"invariant subspace of dimension {len(absolute.witness_subspace)}")
-    if absolute.commutant_dim is None:
-        return "computed", True, "doubly transitive with order coprime to p (shortcut)"
-    return ("computed", absolute.commutant_dim == 1,
-            f"irreducible by the MeatAxe; commutant dimension {absolute.commutant_dim}")
+                f"invariant subspace of dimension {len(judged.meataxe.invariant_subspace)}")
+    return ("computed", judged.commutant == 1,
+            f"irreducible by the MeatAxe; commutant dimension {judged.commutant}")
 
 
 def _arithmetic_side_condition(s: Scenario, info: _GroupInfo) -> Check:

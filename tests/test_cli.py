@@ -39,6 +39,11 @@ def test_tag_parsing():
     assert t.n == 28
     with pytest.raises(ValueError):
         parse_group_tag("B7", 7)
+    # a fixed-degree tag takes --n only when it names the tag's own degree
+    assert parse_group_tag("M11", 11).n == 11
+    for text, n, degree in [("M11", 12, 11), ("PSL2(13)", 15, 14), ("U3(3)", 27, 28)]:
+        with pytest.raises(ValueError, match=rf"^tag degree {degree} of .* does not match n = {n}$"):
+            parse_group_tag(text, n)
 
 
 def test_analyze_symmetric(capsys):
@@ -147,7 +152,15 @@ def test_parse_path_prints_what_the_full_parser_prints(argv, capsys):
     (["probe", "--poly", "x^5 - 2*x^4 + x^3"], "x^5 - 2*x^4 + x^3 has repeated roots"),
     (["fixtures", "--run", "absent.jsonl"], "fixture file absent.jsonl does not exist"),
     (["fixtures", "--run", "."], "cannot read fixture file .: Is a directory"),
-], ids=["analyze", "heart", "weights", "group", "probe", "fixtures", "fixtures-directory"])
+    (["analyze", "--group", "M11", "--n", "12", "--p", "5"],
+     "tag degree 11 of M11 does not match n = 12"),
+    (["heart", "--group", "M11", "--n", "12", "--p", "5"],
+     "tag degree 11 of M11 does not match n = 12"),
+    (["group", "--group", "M11", "--n", "30"], "tag degree 11 of M11 does not match n = 30"),
+    (["analyze", "--poly", "x^5 - x - 1", "--n", "9", "--p", "7"],
+     "polynomial degree 5 does not match n = 9"),
+], ids=["analyze", "heart", "weights", "group", "probe", "fixtures", "fixtures-directory",
+        "analyze-tag-n", "heart-tag-n", "group-tag-n", "analyze-poly-n"])
 def test_refused_input_prints_one_error_line(argv, message, capsys):
     # every subcommand refuses through cli._run: exit 1, nothing on stdout,
     # and one error line
@@ -187,6 +200,16 @@ def test_intransitive_heart_warns_once(command, tmp_path, monkeypatch, capsys):
     assert code in (0, 2) and out
     assert [str(w.message) for w in caught] == [
         "heart of an intransitive action; dimension laws still apply"]
+
+
+def test_heart_of_identity_generators_is_one_error_line(tmp_path, capsys):
+    # a heart of dimension 0 is refused before the intransitive-action warning
+    path = tmp_path / "identity.txt"
+    path.write_text("()\n()\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(["heart", "--group-file", str(path), "--p", "5"], capsys)
+    assert result == (1, "", "error: module dimension must be >= 1\n") and caught == []
 
 
 def test_analyze_refuses_p_beyond_the_proven_prime_test(capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heartproof import fields
-from heartproof.fields import ExtField, ZeroInverse, sqrt_mod_p
+from heartproof.fields import ExtField, ZeroInverse
 
 
 def test_field_inv_examples():
@@ -24,26 +24,6 @@ def test_prime_field_validation():
         ExtField(9, 1)
     with pytest.raises(fields.NotPrime):
         ExtField(1, 1)
-
-
-def test_sqrt_examples():
-    assert sqrt_mod_p(5, 11) == 4
-    assert sqrt_mod_p(0, 13) == 0
-    assert sqrt_mod_p(5, 7) is None
-    # squares mod 7 are {0, 1, 2, 4}
-    assert {a for a in range(7) if sqrt_mod_p(a, 7) is not None} == {0, 1, 2, 4}
-
-
-@pytest.mark.parametrize("p", [3, 7, 11, 13, 17, 29, 101, 10007])
-def test_sqrt_property(p):
-    # present iff a^((p-1)/2) in {0, 1}; square of result is a
-    for a in range(min(p, 60)):
-        r = sqrt_mod_p(a, p)
-        euler = pow(a, (p - 1) // 2, p)
-        if euler in (0, 1):
-            assert r is not None and r * r % p == a % p
-        else:
-            assert r is None
 
 
 def test_is_prime():

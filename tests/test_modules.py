@@ -106,7 +106,7 @@ def test_heart_is_memoised_by_the_generators(monkeypatch):
     same = PermGroup(list(g.generators), g.degree)
     assert judge_heart(same, 5) is first and calls == [len(g.generators)]
     h = first.module
-    assert h.group is None and (h.dim, h.kind, h.n, h.p) == (10, "hyperplane", 11, 5)
+    assert h.group is None and (h.dim, h.kind, h.p) == (10, "hyperplane", 5)
     forget_meataxe(monkeypatch)
     fresh = judge_heart(g, 5)
     assert calls == [2 * len(g.generators)]

@@ -1,9 +1,17 @@
+import pytest
+
 from heartproof import groups, modules, perm, simplicity, verdict
-from heartproof.groups import GroupTag, PermGroup, alternating_group, mathieu_group, psl2_group
+from heartproof.groups import (
+    GroupTag,
+    PermGroup,
+    alternating_group,
+    exists_subgroup_of_index_dividing,
+    mathieu_group,
+    psl2_group,
+)
 from heartproof.simplicity import (
     Level,
     abs_irred_shortcut,
-    central_simple_by_index,
     decide_heart_simplicity,
     embedding_obstruction,
     very_simple_alt,
@@ -26,14 +34,20 @@ def test_shortcut_examples():
 
 
 def test_central_simple_by_index_examples():
-    v = central_simple_by_index(mathieu_group(11), 10)
-    assert v.level == Level.CENTRAL_SIMPLE
-    v = central_simple_by_index(alternating_group(5), 4)
-    assert v.level == Level.CENTRAL_SIMPLE
-    v = central_simple_by_index(GroupTag.psl2(13), 13)
-    assert v.level == Level.CENTRAL_SIMPLE
-    # index-5 subgroups of A_5 defeat the criterion at bound 10
-    assert central_simple_by_index(alternating_group(5), 10) is None
+    # custom tags take the computed path: an absolutely simple heart (here by
+    # the shortcut) with no proper subgroup index dividing its dimension
+    for g, p in [(mathieu_group(11), 7), (alternating_group(5), 7)]:
+        v = decide_heart_simplicity(g, GroupTag.custom(g.degree), p)
+        assert v.level == Level.CENTRAL_SIMPLE
+        assert v.evidence[-1].statement.startswith("index criterion:")
+    # the family table answers the index question for a tag
+    exists, _, source = exists_subgroup_of_index_dividing(GroupTag.psl2(13), 13)
+    assert (exists, source) == (False, "table")
+    # index-5 subgroups of A_5 on 6 points defeat the criterion at dimension 5
+    l25 = psl2_group(5)
+    v = decide_heart_simplicity(l25, GroupTag.custom(6), 11)
+    assert v.level == Level.ABSOLUTELY_SIMPLE
+    assert v.evidence[-1].statement.startswith("some proper subgroup index divides 5")
 
 
 def test_very_simple_alt_trichotomy():
@@ -68,7 +82,7 @@ def test_decide_examples():
     assert decide_heart_simplicity(None, GroupTag.mathieu(23), 11).level == Level.VERY_SIMPLE
     assert decide_heart_simplicity(None, GroupTag.alternating(7), 11).level == Level.VERY_SIMPLE
     v = decide_heart_simplicity(cyclic5(), GroupTag.custom(5), 11)
-    assert v.level == Level.NOT_SIMPLE and v.witness_subspace
+    assert v.level == Level.NOT_SIMPLE
     # over F_7 the cyclic heart is irreducible with a quartic-field commutant
     assert decide_heart_simplicity(cyclic5(), GroupTag.custom(5), 7).level == Level.SIMPLE
 
@@ -157,3 +171,46 @@ def test_heart_table_same_answer_from_both_callers():
         assert from_table == (kind == "table" and passed is True), (tag, p)
         assert from_table == ((tag, p) not in outside)
         assert v.level >= Level.CENTRAL_SIMPLE
+
+
+# (generators on 5 points, p) reaching each outcome of the index route's heart
+# row, with the simplicity level the heart command prints
+HEART_ROW_CASES = {
+    "shortcut": (("(0 1 2 3 4)", "(0 1 2)"), 7, Level.CENTRAL_SIMPLE),
+    "reducible": (("(0 1 2 3 4)",), 11, Level.NOT_SIMPLE),
+    "commutant": (("(0 1 2 3 4)",), 7, Level.SIMPLE),
+    "meataxe": (("(0 1 2 3 4)", "(0 1 2)"), 3, Level.CENTRAL_SIMPLE),
+}
+
+
+@pytest.mark.parametrize("outcome", HEART_ROW_CASES)
+def test_heart_row_and_level_read_one_memo_entry(outcome, monkeypatch):
+    # analyze's heart row passes exactly when the heart's level is at least
+    # absolutely simple, and from an empty memo the two together run the
+    # attempts of one fresh search and the commutant at most once
+    gens, p, level = HEART_ROW_CASES[outcome]
+    calls = {"_attempt": 0, "commutant_dim": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(modules, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(modules, name, counted)
+    s = verdict.Scenario(5, p, 1, "custom", generators=gens, assume_zeta=True)
+    info = verdict._resolve_group(s)
+    fresh = modules.is_irreducible(modules.heart(info.concrete, p))
+    searched = calls["_attempt"]
+    calls["_attempt"] = 0
+    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
+    kind, passed, detail = verdict._check_heart_abs_irred(s, info)
+    v = decide_heart_simplicity(info.concrete, info.tag, p)
+    assert (kind, passed, v.level) == ("computed", level >= Level.ABSOLUTELY_SIMPLE, level)
+    if outcome == "shortcut":
+        assert detail.endswith("(shortcut)") and calls == {"_attempt": 0, "commutant_dim": 0}
+        return
+    assert searched > 0 and calls == {"_attempt": searched, "commutant_dim": int(fresh.irreducible)}
+    if outcome == "reducible":
+        dim = len(fresh.invariant_subspace)
+        assert detail == f"invariant subspace of dimension {dim}"
+        assert v.evidence[0].statement.startswith(detail)
+    else:
+        assert detail.startswith("irreducible by the MeatAxe; commutant dimension ")
