@@ -90,15 +90,20 @@ def _parse_prime_power(text: str) -> tuple[int, int]:
         raise ValueError(f"q written with a {digits}-digit number is above the limit "
                          f"MAX_Q_BITS = {MAX_Q_BITS}")
     if len(numerals) == 2:
-        return int(numerals[0]), int(numerals[1])
+        ell, r = int(numerals[0]), int(numerals[1])
+        field_order(ell, r)  # a q above MAX_Q_BITS is refused before l and r are checked
+        if r < 1:
+            raise ValueError(f"q = {ell}^{r}: r = {r} must be at least 1")
+        if not is_prime(ell):
+            raise ValueError(f"q = {ell}^{r}: l = {ell} must be prime")
+        return ell, r
     value = field_order(int(numerals[0]), 1)
-    if value > 1:
-        for r in range(value.bit_length() - 1, 0, -1):
-            ell = _integer_root(value, r)
-            if ell**r == value:
-                if is_prime(ell):
-                    return ell, r
-                break
+    for r in range(value.bit_length() - 1, 0, -1):  # none for q = 0 or 1
+        ell = _integer_root(value, r)
+        if ell**r == value:
+            if is_prime(ell):
+                return ell, r
+            break
     raise ValueError(f"{value} is not a prime power")
 
 
@@ -195,7 +200,7 @@ def _cmd_heart(args) -> int:
     else:
         print(f"irreducible: no (invariant subspace of dimension "
               f"{judged.meataxe.invariant_subspace.shape[0]})")
-    v = simplicity.decide_heart_simplicity(g, g.tag, args.p)
+    v = simplicity.decide_heart_simplicity(g, args.p)
     print(f"simplicity verdict: {v.level.name}")
     for item in v.evidence:
         print(f"  [{item.kind}] {item.statement}")

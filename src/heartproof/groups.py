@@ -41,7 +41,7 @@ class NotSubgroup(ValueError):
 
 class TooLarge(ValueError):
     """Raised when a group's order exceeds SUBGROUP_ENUM_THRESHOLD, the cap on
-    the searches that list elements: `PermGroup.elements`, `subgroup_classes`
+    listing elements: `PermGroup.elements`, which gates `subgroup_classes`,
     and the subgroup-index search of `exists_subgroup_of_index_dividing`."""
 
 
@@ -635,14 +635,11 @@ def subgroup_classes(g: PermGroup) -> list[SubgroupClass]:
 
     Every subgroup arises as <H, x> from some already-found H, so extending
     class representatives by right-coset representatives reaches every
-    conjugacy class. Feasible for |G| <= the enumeration threshold; the
-    result is memoised on g. Three callers remain: the subgroup-index search
-    (on the point stabilizer G_b only), `modules.sl2f5_two_dim_reps`, and the
-    tests, as the oracle for the index search.
+    conjugacy class. Feasible for |G| <= the threshold `g.elements()`
+    enforces; the result is memoised on g. Three callers remain: the
+    subgroup-index search (on the point stabilizer G_b only),
+    `modules.sl2f5_two_dim_reps`, and the tests, as the oracle for it.
     """
-    if g.order > SUBGROUP_ENUM_THRESHOLD:
-        raise TooLarge(f"|G| = {g.order} exceeds enumeration threshold "
-                       f"{SUBGROUP_ENUM_THRESHOLD}")
     if g._subgroup_classes is not None:
         return g._subgroup_classes
     elements = list(g.elements())
@@ -719,12 +716,14 @@ def _join(h: frozenset, gens: tuple[Perm, ...], whole: frozenset) -> frozenset:
 def exists_subgroup_of_index_dividing(g_or_tag, n_bound: int) -> tuple[bool, str, str]:
     """Is there a proper subgroup of index d with 1 < d and d | n_bound?
 
-    Family tags answer from minimal-index tables. A concrete group of order
-    at most the threshold is searched exactly, one divisor d at a time in
-    ascending order, so a witness has the smallest qualifying index; a
-    larger concrete group raises TooLarge. Index 1 never counts. Returns (answer,
-    witness text, source), source being 'arithmetic', 'table' or
-    'enumeration'. Answers are memoised per (group, d) on the group.
+    Family tags answer from minimal-index tables. Where the table is silent
+    a group of order at most the threshold is searched exactly: g, or the
+    group a bare tag's family builds, the one place a tag becomes a concrete
+    group; a larger group, or a tag without one, raises TooLarge. Divisors d
+    are tried in ascending order, so a witness has the smallest qualifying
+    index; index 1 never counts. Returns (answer, witness text, source),
+    source being 'arithmetic', 'table' or 'enumeration'. Answers are
+    memoised per (group, d) on the group.
 
     The search rests on orbit-stabilizer counting. Let b be the first base
     point of the chain, Omega = b^G its orbit and G_b its stabilizer.
@@ -749,11 +748,12 @@ def exists_subgroup_of_index_dividing(g_or_tag, n_bound: int) -> tuple[bool, str
     doubles the orbit and the depth is at most log2(m).
     """
     tag = g_or_tag.tag if isinstance(g_or_tag, PermGroup) else g_or_tag
+    family = tag.family
     divisors = [d for d in range(2, n_bound + 1) if n_bound % d == 0]
     if not divisors:
         return False, "no divisor of the bound exceeds 1", "arithmetic"
 
-    table = tag.family.index_table(tag) if tag.family is not None else None
+    table = family.index_table(tag) if family is not None else None
     if table is not None:
         known, min_other = table
         hits = sorted(set(divisors) & known)
@@ -766,23 +766,23 @@ def exists_subgroup_of_index_dividing(g_or_tag, n_bound: int) -> tuple[bool, str
             ), "table"
         # divisors at or above the minimal index: table alone cannot decide
 
-    if isinstance(g_or_tag, PermGroup):
-        g = g_or_tag
-        if g.order > SUBGROUP_ENUM_THRESHOLD:
-            raise TooLarge(
-                f"|G| = {g.order} exceeds enumeration threshold and no table applies"
-            )
-        for d in divisors:
-            if d not in g._index_witnesses:
-                g._index_witnesses[d] = _subgroup_of_index(g, d)
-            witness = g._index_witnesses[d]
-            if witness is not None:
-                gens = ", ".join(perm.format_perm(p) for p in witness) or "()"
-                return (True, f"subgroup of order {g.order // d}, index {d}, generated by {gens}",
-                        "enumeration")
-        return (False, f"exhaustive enumeration: no proper subgroup index divides {n_bound}",
-                "enumeration")
-    raise TooLarge("no concrete group available and the family table is inconclusive")
+    g = g_or_tag
+    if not isinstance(g, PermGroup):
+        if not (family and family.concrete and family.order(tag) <= SUBGROUP_ENUM_THRESHOLD):
+            raise TooLarge("no concrete group available and the family table is inconclusive")
+        g = family.concrete(tag)
+    if g.order > SUBGROUP_ENUM_THRESHOLD:
+        raise TooLarge(f"|G| = {g.order} exceeds enumeration threshold and no table applies")
+    for d in divisors:
+        if d not in g._index_witnesses:
+            g._index_witnesses[d] = _subgroup_of_index(g, d)
+        witness = g._index_witnesses[d]
+        if witness is not None:
+            gens = ", ".join(perm.format_perm(p) for p in witness) or "()"
+            return (True, f"subgroup of order {g.order // d}, index {d}, generated by {gens}",
+                    "enumeration")
+    return (False, f"exhaustive enumeration: no proper subgroup index divides {n_bound}",
+            "enumeration")
 
 
 def _subgroup_of_index(g: PermGroup, d: int) -> tuple[Perm, ...] | None:

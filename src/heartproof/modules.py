@@ -252,9 +252,7 @@ def _attempt(a: np.ndarray, attempt: int, mats: list[np.ndarray],
     factors = gfpoly.factor_squarefree(gfpoly.squarefree_part(cp, p), p)
     for f in sorted(factors, key=lambda f: (len(f), f)):
         fa = linalg.poly_of_matrix(f, a, p)
-        null_rows = kernel_basis(fa.T, p)
-        if not null_rows:
-            continue
+        null_rows = kernel_basis(fa.T, p)  # never empty: f | charpoly(a), so f(a) is singular
         rows, recipe = spin(null_rows[0], mats, p)
         if rows.shape[0] < dim:
             return IrreducibilityResult(False, invariant_subspace=linalg.rref(rows, p)[0])

@@ -397,14 +397,10 @@ def classify_galois(f: PolyZ, prime_budget: int = 40) -> GaloisEvidence:
     disc_square = is_perfect_square(disc)
     primes = sample_primes(f, disc, prime_budget)
 
-    witness = None
-    patterns: dict[tuple[int, ...], int] = {}
+    patterns: dict[tuple[int, ...], int] = {}  # each pattern -> its first prime
     for p, degs in zip(primes, factor_degrees_mod_primes(f, primes, disc)):
-        degs = tuple(degs)
-        if degs not in patterns:
-            patterns[degs] = p
-        if witness is None and degs == (n,):
-            witness = p
+        patterns.setdefault(tuple(degs), p)
+    witness = patterns.get((n,))
 
     reasons = []
     transitive = witness is not None

@@ -187,7 +187,7 @@ _VERY_SIMPLE = {
 }
 
 
-def decide_heart_simplicity(g: PermGroup | None, tag: GroupTag, p: int) -> SimplicityVerdict:
+def decide_heart_simplicity(g_or_tag: PermGroup | GroupTag, p: int) -> SimplicityVerdict:
     """The cited family theorems first, else computation; UNKNOWN rather than
     a silent guess.
 
@@ -195,25 +195,23 @@ def decide_heart_simplicity(g: PermGroup | None, tag: GroupTag, p: int) -> Simpl
     its record: by the family's very-simplicity case analysis, with
     recomputed obstructions, where it has one, else as central simple from
     the record's table facts. Everything else falls back to
-    `_computed_verdict`, which needs a concrete group: g, or else the one
-    the record builds.
+    `_computed_verdict`, which needs a concrete group: a bare tag outside
+    its table is UNKNOWN.
     """
     if p < 3:
         raise ValueError("p must be an odd prime")
-    family = tag.family
-    if family is not None and family_heart_table(tag, p):
-        v = _VERY_SIMPLE.get(family, lambda n, p: None)(tag.n, p)
+    tag = g_or_tag.tag if isinstance(g_or_tag, PermGroup) else g_or_tag
+    if family_heart_table(tag, p):
+        v = _VERY_SIMPLE.get(tag.family, lambda n, p: None)(tag.n, p)
         if v is not None:
             return v
         return SimplicityVerdict(Level.CENTRAL_SIMPLE, [
-            EvidenceItem("table-fact", statement) for statement in family.central(tag, p)])
-    if g is None and family is not None and family.concrete is not None:
-        g = family.concrete(tag)
-    if g is None:
+            EvidenceItem("table-fact", statement) for statement in tag.family.central(tag, p)])
+    if not isinstance(g_or_tag, PermGroup):
         return SimplicityVerdict(Level.UNKNOWN).attach(
             "diagnostic", f"{tag.describe()} is outside the cited modular table "
                           "and no concrete group is given")
-    return _computed_verdict(g, p)
+    return _computed_verdict(g_or_tag, p)
 
 
 def _computed_verdict(g: PermGroup, p: int) -> SimplicityVerdict:

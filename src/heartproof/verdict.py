@@ -12,8 +12,9 @@ record, and each generic route writes its anchors once, in its step list,
 while its checks return only (kind, passed, detail). Facts about
 family-tagged groups are read from their records and the tables those
 cite, never from a branch on the family name; computation (MeatAxe,
-subgroup enumeration) is reserved for concrete custom groups, plus cheap
-group-theoretic index facts.
+subgroup enumeration) is reserved for concrete custom groups. A tag
+resolves to no group: the index search builds a tag's concrete group only
+where the family's table is silent.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .groups import (
     FAMILIES,
     GroupTag,
     PermGroup,
-    SUBGROUP_ENUM_THRESHOLD,
     TooLarge,
     exists_subgroup_of_index_dividing,
     family_heart_table,
@@ -148,10 +148,7 @@ class Certificate:
 
     @property
     def first_failed(self) -> HypothesisCheck | None:
-        for c in self.checks:
-            if c.passed is not True:
-                return c
-        return None
+        return next((c for c in self.checks if c.failed), None)
 
 
 def _ring_conclusion(s: Scenario) -> EndoConclusion:
@@ -168,9 +165,8 @@ class _GroupInfo:
     """Resolved group material for one scenario."""
 
     tag: GroupTag
-    concrete: PermGroup | None
+    concrete: PermGroup | None  # a custom scenario's group; None for a tag or a polynomial
     probe_evidence: probe.GaloisEvidence | None = None
-    probe_failure: str | None = None
 
 
 def custom_group(generators: tuple[str, ...], n: int | None = None) -> PermGroup:
@@ -195,7 +191,7 @@ def _custom_group_on(generators: tuple[str, ...], n: int | None) -> PermGroup:
 
 def _resolve_group(s: Scenario) -> _GroupInfo:
     if s.group_source == "tag":
-        return _GroupInfo(s.tag, _concrete_for_tag(s.tag))
+        return _GroupInfo(s.tag, None)
     if s.group_source == "custom":
         g = custom_group(s.generators, s.n)
         return _GroupInfo(g.tag, g)
@@ -205,16 +201,7 @@ def _resolve_group(s: Scenario) -> _GroupInfo:
     ev = probe.classify_galois(f, prime_budget=40)
     if ev.resolved_group is not None:
         return _GroupInfo(GroupTag(ev.resolved_group, n=s.n), None, probe_evidence=ev)
-    return _GroupInfo(GroupTag.custom(s.n), None, probe_evidence=ev,
-                      probe_failure=f"probe conclusion: {ev.conclusion}")
-
-
-def _concrete_for_tag(tag: GroupTag) -> PermGroup | None:
-    """A concrete group for cheap exact index facts, when small enough."""
-    family = tag.family
-    if family.concrete is None or family.order(tag) > SUBGROUP_ENUM_THRESHOLD:
-        return None
-    return family.concrete(tag)
+    return _GroupInfo(GroupTag.custom(s.n), None, probe_evidence=ev)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +242,8 @@ def _check_p_coprime_order(s: Scenario, info: _GroupInfo) -> Check:
 
 
 def _check_index_condition(info: _GroupInfo, bound: int) -> Check:
-    target = info.concrete if info.concrete is not None else info.tag
     try:
-        exists, why, source = exists_subgroup_of_index_dividing(target, bound)
+        exists, why, source = exists_subgroup_of_index_dividing(info.concrete or info.tag, bound)
     except TooLarge as exc:
         return "computed", None, str(exc)
     return "table" if source == "table" else "computed", not exists, why
@@ -306,7 +292,7 @@ def _arithmetic_side_condition(s: Scenario, info: _GroupInfo) -> Check:
                        f"{'pass' if p_version else 'fail'}")
     if arith_ok:
         return "arithmetic", True, detail
-    v = simplicity.decide_heart_simplicity(info.concrete, info.tag, s.p)
+    v = simplicity.decide_heart_simplicity(info.concrete or info.tag, s.p)
     if v.level == Level.VERY_SIMPLE:
         return ("table" if info.tag.family is not None else "computed", True,
                 detail + "; arithmetic branch fails but the heart is very simple: "
@@ -406,8 +392,10 @@ def dispatch(s: Scenario) -> Certificate:
     suffix = "_ring" if s.r == 1 else "_algebra"
     attempted: list[tuple[str, list[HypothesisCheck]]] = []
     notes: list[str] = []
-    if info.probe_failure is not None:
-        notes.append(f"galois probe could not certify the group: {info.probe_failure}")
+    ev = info.probe_evidence
+    if ev is not None and ev.resolved_group is None:
+        notes.append(f"galois probe could not certify the group: probe conclusion: "
+                     f"{ev.conclusion}")
     for name, route in routes:
         checks = route(s, info)
         attempted.append((name + suffix, checks))

@@ -414,6 +414,22 @@ def test_fixtures_value_errors_are_fail_lines(tmp_path, capsys):
                    "0 passed, 2 failed\n")
 
 
+def test_fixtures_invalid_scenario_lines(tmp_path, capsys):
+    entries = [{"name": name, "scenario": {"n": 5, "p": 7, "group": group},
+                "expect": {"conclusion": "cyclotomic_ring"}}
+               for name, group in (("no_generators", {"kind": "custom", "generators": []}),
+                                   ("no_poly", {"kind": "poly", "poly": ""}),
+                                   ("unknown_kind", {"kind": "dihedral"}))]
+    path = tmp_path / "invalid.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    code, out, err = run_cli(["fixtures", "--run", str(path)], capsys)
+    assert code == 1 and err == ""
+    assert out == ("[FAIL] no_generators: unexpected rejection: custom scenario without generators\n"
+                   "[FAIL] no_poly: unexpected rejection: poly scenario without a polynomial\n"
+                   "[FAIL] unknown_kind: unexpected rejection: unknown group kind 'dihedral'\n"
+                   "0 passed, 3 failed\n")
+
+
 @pytest.mark.parametrize("command", [["analyze", "--p", "7"], ["heart", "--p", "7"], ["group"]],
                          ids=["analyze", "heart", "group"])
 def test_missing_group_file(command, tmp_path, capsys):
@@ -626,11 +642,93 @@ def test_heart_seeds_share_the_seed_free_verdict(monkeypatch, capsys):
     assert attempts[0] > 0 and attempts[1:] == [0] * 4
 
 
-@pytest.mark.parametrize("tag, ell", [("PSL2(6^2)", 6), ("PSL2(4^2)", 4), ("U3(6,1)", 6)])
+@pytest.mark.parametrize("tag, ell", [("PSL2(6^2)", 6), ("PSL2(4^2)", 4), ("U3(6,1)", 6),
+                                      ("PSL2(5^0)", None)])
 def test_analyze_refuses_non_prime_characteristic(tag, ell, capsys):
-    code, out, err = run_cli(["analyze", "--group", tag, "--p", "5"], capsys)
-    assert code == 1 and out == ""
-    assert f"l = {ell} must be prime" in err
+    # analyze, heart and group refuse such an l^r with one identical line
+    rule = f"l = {ell} must be prime" if ell else "r = 0 must be at least 1"
+    errs = []
+    for command in (["analyze", "--p", "5"], ["heart", "--p", "5"], ["group"]):
+        code, out, err = run_cli([command[0], "--group", tag, *command[1:]], capsys)
+        assert code == 1 and out == ""
+        errs.append(err)
+    assert errs == [errs[0]] * 3 and errs[0].count("\n") == 1
+    assert rule in errs[0]
+
+
+def _count_family_groups(monkeypatch):
+    """Calls of the family constructors behind `Family.concrete`, by name."""
+    from heartproof import groups
+    calls = {}
+    for name in ("symmetric_group", "alternating_group", "mathieu_group", "psl2_group"):
+        def counted(*args, _f=getattr(groups, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(groups, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tag", ["M11", "PSL2(13)"])
+def test_analyze_builds_no_group_where_the_table_answers(tag, monkeypatch, capsys):
+    calls = _count_family_groups(monkeypatch)
+    code, _, _ = run_cli(["analyze", "--group", tag, "--p", "7" if tag == "M11" else "5",
+                          "--r", "2"], capsys)
+    assert code in (0, 2) and calls == {}
+
+
+def test_analyze_builds_a_silent_tables_group_once(monkeypatch, capsys):
+    calls = _count_family_groups(monkeypatch)
+    code, out, _ = run_cli(["analyze", "--group", "PSL2(7)", "--p", "5", "--r", "2"], capsys)
+    assert code == 2 and calls == {"psl2_group": 1}
+    assert "subgroup of order 24, index 7, generated by " in out
+
+
+def test_analyze_u3_5_keeps_its_open_index_row(monkeypatch, capsys):
+    from heartproof import verdict
+    from heartproof.groups import GroupTag
+    calls = _count_family_groups(monkeypatch)
+    code, out, _ = run_cli(["analyze", "--group", "U3(5)", "--p", "11"], capsys)
+    assert code == 2 and calls == {}
+    assert "note: route coprime_order_ring failed at: no maximal subgroup index divides 125\n" in out
+    s = verdict.Scenario(126, 11, 1, "tag", GroupTag.psu3(5))
+    row = verdict._route_coprime_order(s, verdict._resolve_group(s))[-1]
+    assert (row.kind, row.passed, row.detail) == (
+        "computed", None, "no concrete group available and the family table is inconclusive")
+
+
+def test_probe_branches_without_another_test(capsys):
+    # composite degree: transitive with a transposition, no primitivity proof
+    code, out, _ = run_cli(["probe", "--poly", "x^4 - 2"], capsys)
+    assert code == 0 and "conclusion: heuristic [symmetric]\n" in out
+    # prime degree and a transposition, no 3-cycle
+    code, out, _ = run_cli(["probe", "--poly", "x^2 - 2"], capsys)
+    assert code == 0 and "conclusion: proven_sn\nresolved group: symmetric\n" in out
+    assert "3-cycle" not in out
+
+
+def test_analyze_poly_without_a_group_leaves_rows_open(capsys):
+    code, out, _ = run_cli(["analyze", "--poly", "x^6 + 24*x - 20", "--p", "7",
+                            "--assume-zeta"], capsys)
+    assert code == 2
+    assert ("  [open] group acts doubly transitively on the n roots (computed): "
+            "no concrete group to test\n") in out
+    assert "note: galois probe could not certify the group: probe conclusion: unknown\n" in out
+
+
+def test_heart_of_a_group_without_generators(tmp_path, capsys):
+    path = tmp_path / "trivial.txt"
+    path.write_text("()\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run_cli(["heart", "--group-file", str(path), "--n", "7", "--p", "5"],
+                               capsys)
+    assert code == 0
+    assert out == ("group: custom on 7 points, order 1\n"
+                   "heart: dimension 6 (hyperplane) over F_5\n"
+                   "irreducible: no (invariant subspace of dimension 1)\n"
+                   "simplicity verdict: NOT_SIMPLE\n"
+                   "  [computation] invariant subspace of dimension 1 inside the "
+                   "6-dimensional heart\n")
 
 
 def test_prime_power_from_integer_roots(capsys):

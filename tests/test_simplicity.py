@@ -37,7 +37,7 @@ def test_central_simple_by_index_examples():
     # custom tags take the computed path: an absolutely simple heart (here by
     # the shortcut) with no proper subgroup index dividing its dimension
     for g, p in [(mathieu_group(11), 7), (alternating_group(5), 7)]:
-        v = decide_heart_simplicity(g, GroupTag.custom(g.degree), p)
+        v = decide_heart_simplicity(PermGroup(g.generators, tag=GroupTag.custom(g.degree)), p)
         assert v.level == Level.CENTRAL_SIMPLE
         assert v.evidence[-1].statement.startswith("index criterion:")
     # the family table answers the index question for a tag
@@ -45,7 +45,7 @@ def test_central_simple_by_index_examples():
     assert (exists, source) == (False, "table")
     # index-5 subgroups of A_5 on 6 points defeat the criterion at dimension 5
     l25 = psl2_group(5)
-    v = decide_heart_simplicity(l25, GroupTag.custom(6), 11)
+    v = decide_heart_simplicity(PermGroup(l25.generators, tag=GroupTag.custom(6)), 11)
     assert v.level == Level.ABSOLUTELY_SIMPLE
     assert v.evidence[-1].statement.startswith("some proper subgroup index divides 5")
 
@@ -79,33 +79,43 @@ def test_embedding_obstruction_examples():
 
 
 def test_decide_examples():
-    assert decide_heart_simplicity(None, GroupTag.mathieu(23), 11).level == Level.VERY_SIMPLE
-    assert decide_heart_simplicity(None, GroupTag.alternating(7), 11).level == Level.VERY_SIMPLE
-    v = decide_heart_simplicity(cyclic5(), GroupTag.custom(5), 11)
+    assert decide_heart_simplicity(GroupTag.mathieu(23), 11).level == Level.VERY_SIMPLE
+    assert decide_heart_simplicity(GroupTag.alternating(7), 11).level == Level.VERY_SIMPLE
+    v = decide_heart_simplicity(cyclic5(), 11)
     assert v.level == Level.NOT_SIMPLE
     # over F_7 the cyclic heart is irreducible with a quartic-field commutant
-    assert decide_heart_simplicity(cyclic5(), GroupTag.custom(5), 7).level == Level.SIMPLE
+    assert decide_heart_simplicity(cyclic5(), 7).level == Level.SIMPLE
 
 
 def test_decide_family_paths():
-    assert decide_heart_simplicity(None, GroupTag.mathieu(11), 5).level == Level.VERY_SIMPLE
-    assert decide_heart_simplicity(None, GroupTag.mathieu(22), 7).level == Level.VERY_SIMPLE
-    assert decide_heart_simplicity(None, GroupTag.mathieu(12), 3).level == Level.CENTRAL_SIMPLE
-    assert decide_heart_simplicity(None, GroupTag.psl2(13), 5).level == Level.CENTRAL_SIMPLE
-    assert decide_heart_simplicity(None, GroupTag.psu3(3), 5).level == Level.CENTRAL_SIMPLE
-    assert decide_heart_simplicity(None, GroupTag.psu3(5), 11).level == Level.UNKNOWN
-    assert decide_heart_simplicity(None, GroupTag.symmetric(8), 3).level == Level.VERY_SIMPLE
-    # M11 at p = 3 is outside the cited table; the computed path still
-    # establishes central simplicity honestly
-    assert decide_heart_simplicity(None, GroupTag.mathieu(11), 3).level == Level.CENTRAL_SIMPLE
+    assert decide_heart_simplicity(GroupTag.mathieu(11), 5).level == Level.VERY_SIMPLE
+    assert decide_heart_simplicity(GroupTag.mathieu(22), 7).level == Level.VERY_SIMPLE
+    assert decide_heart_simplicity(GroupTag.mathieu(12), 3).level == Level.CENTRAL_SIMPLE
+    assert decide_heart_simplicity(GroupTag.psl2(13), 5).level == Level.CENTRAL_SIMPLE
+    assert decide_heart_simplicity(GroupTag.psu3(3), 5).level == Level.CENTRAL_SIMPLE
+    assert decide_heart_simplicity(GroupTag.psu3(5), 11).level == Level.UNKNOWN
+    assert decide_heart_simplicity(GroupTag.symmetric(8), 3).level == Level.VERY_SIMPLE
+    # M11 at p = 3 is outside the cited table; on the concrete group the
+    # computed path still establishes central simplicity honestly
+    assert decide_heart_simplicity(mathieu_group(11), 3).level == Level.CENTRAL_SIMPLE
+
+
+def test_decide_builds_no_group_for_a_bare_tag(monkeypatch):
+    # outside its cited table a bare tag is UNKNOWN, and no group is built
+    built = []
+    monkeypatch.setattr(groups, "mathieu_group", lambda n: built.append(n))
+    v = decide_heart_simplicity(GroupTag.mathieu(11), 3)
+    assert v.level == Level.UNKNOWN and built == []
+    assert v.evidence[0].statement == ("M11 is outside the cited modular table "
+                                       "and no concrete group is given")
 
 
 def test_decide_custom_paths():
-    v = decide_heart_simplicity(f20(), GroupTag.custom(5), 7)
+    v = decide_heart_simplicity(f20(), 7)
     assert v.level == Level.ABSOLUTELY_SIMPLE
     assert any("undetermined" in e.statement for e in v.evidence)
     l25 = psl2_group(5)
-    assert decide_heart_simplicity(l25, l25.tag, 7).level == Level.ABSOLUTELY_SIMPLE
+    assert decide_heart_simplicity(l25, 7).level == Level.ABSOLUTELY_SIMPLE
 
 
 def test_hierarchy_monotonicity():
@@ -135,7 +145,7 @@ def test_shortcut_agrees_with_computation():
 def test_evidence_nonempty():
     for tag, p in [(GroupTag.mathieu(23), 11), (GroupTag.alternating(5), 11),
                    (GroupTag.psu3(3), 7)]:
-        v = decide_heart_simplicity(None, tag, p)
+        v = decide_heart_simplicity(tag, p)
         assert v.evidence
 
 
@@ -166,7 +176,7 @@ def test_heart_table_same_answer_from_both_callers():
     for tag, p in _cited_pairs() + outside:
         s = verdict.Scenario(tag.n, p, 1, "tag", tag)
         kind, passed, _ = verdict._check_heart_abs_irred(s, verdict._resolve_group(s))
-        v = decide_heart_simplicity(tag.family.concrete(tag), tag, p)
+        v = decide_heart_simplicity(tag.family.concrete(tag), p)
         from_table = not any(e.kind == "computation" for e in v.evidence)
         assert from_table == (kind == "table" and passed is True), (tag, p)
         assert from_table == ((tag, p) not in outside)
@@ -202,7 +212,7 @@ def test_heart_row_and_level_read_one_memo_entry(outcome, monkeypatch):
     calls["_attempt"] = 0
     monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     kind, passed, detail = verdict._check_heart_abs_irred(s, info)
-    v = decide_heart_simplicity(info.concrete, info.tag, p)
+    v = decide_heart_simplicity(info.concrete, p)
     assert (kind, passed, v.level) == ("computed", level >= Level.ABSOLUTELY_SIMPLE, level)
     if outcome == "shortcut":
         assert detail.endswith("(shortcut)") and calls == {"_attempt": 0, "commutant_dim": 0}
