@@ -34,6 +34,7 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, count, islice
+from operator import lshift, mul
 
 import numpy as np
 
@@ -116,36 +117,61 @@ def spin(v: np.ndarray, mats: list[np.ndarray], p: int):
     """Spin v into a basis of the submodule it generates, keeping how each
     row was made (the Holt-Rees standard basis).
 
-    Returns the rows and a recipe: rows[0] = v and rows[i] = rows[src] @
-    mats[g] for recipe[i - 1] = (src, g). Membership is tested against a
-    semi-echelon copy of the rows, one vector at a time.
-    """
-    rows = [v % p]
-    recipe: list[tuple[int, int]] = []
-    # (pivot, row scaled to 1 there), each row zero at the earlier pivots
-    echelon: list[tuple[int, np.ndarray]] = []
+    Returns the rows (an int64 array) and a recipe: rows[0] = v mod p and
+    rows[i] = rows[src] @ mats[g] for recipe[i - 1] = (src, g). Membership
+    is tested against a semi-echelon copy of the rows, one vector at a time.
 
-    def add(x: np.ndarray) -> bool:
-        for piv, row in echelon:
-            if x[piv]:
-                x = (x - x[piv] * row) % p
-        nz = np.flatnonzero(x)
-        if nz.size == 0:
+    Rows are packed as in `gfpoly` (Kronecker substitution): a vector
+    becomes one Python int with its d entries in w-bit slots, so the image
+    of a row under a generator is one sum of its entries times the packed
+    rows of the generator's matrix, and reducing a candidate by an echelon
+    row (scaled to 1 at its pivot) adds (p - c) times that row, c being the
+    candidate's pivot entry mod p. Nothing is subtracted, so every slot
+    stays nonnegative: an image sums d terms of at most (p-1)^2, and at
+    most d reductions each add at most (p-1)^2, so a slot stays below
+    2d(p-1)^2 + p, and w = bitlen(2d(p-1)^2 + p) keeps it exact for every
+    p. The reduced candidate is 0 mod p at every pivot, so one unpack mod p
+    of the other slots tells whether it is new, and where its pivot is.
+    """
+    d = len(v)
+    w = (2 * d * (p - 1) ** 2 + p).bit_length()
+    shifts = [w * j for j in range(d)]
+    mask = (1 << w) - 1
+    packed = [[sum(map(lshift, row, shifts)) for row in m.tolist()] for m in mats]
+    rows = [[x % p for x in v.tolist()]]
+    recipe: list[tuple[int, int]] = []
+    # (pivot shift, row scaled to 1 at its pivot), each row zero at the
+    # earlier pivots, packed; and the shifts of the slots that are no pivot
+    echelon: list[tuple[int, int]] = []
+    free = list(shifts)
+
+    def add(x: int) -> bool:
+        for s, e in echelon:
+            c = (x >> s & mask) % p
+            if c:
+                x += (p - c) * e
+        # x is now 0 mod p at every pivot, so its first nonzero slot is free
+        for s in free:
+            c = (x >> s & mask) % p
+            if c:
+                break
+        else:
             return False
-        piv = int(nz[0])
-        echelon.append((piv, x * pow(int(x[piv]), -1, p) % p))
+        inv = pow(c, -1, p)
+        echelon.append((s, sum(map(lshift, [(x >> t & mask) * inv % p for t in shifts], shifts))))
+        free.remove(s)
         return True
 
-    add(rows[0])
+    add(sum(map(lshift, rows[0], shifts)))
     i = 0
-    while i < len(rows) and len(rows) < len(v):
-        for g, m in enumerate(mats):
-            w = (rows[i] @ m) % p
-            if add(w):
-                rows.append(w)
+    while i < len(rows) and len(rows) < d:
+        for g, m in enumerate(packed):
+            image = sum(map(mul, rows[i], m))
+            if add(image):
+                rows.append([(image >> s & mask) % p for s in shifts])
                 recipe.append((i, g))
         i += 1
-    return np.array(rows), recipe
+    return np.array(rows, dtype=np.int64), recipe
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +282,7 @@ def _attempt(a: np.ndarray, attempt: int, mats: list[np.ndarray],
         rows, recipe = spin(null_rows[0], mats, p)
         if rows.shape[0] < dim:
             return IrreducibilityResult(False, invariant_subspace=linalg.rref(rows, p)[0])
-        dual_rows, _ = spin(kernel_basis(fa, p)[0], [m.T.copy() for m in mats], p)
+        dual_rows, _ = spin(kernel_basis(fa, p)[0], [m.T for m in mats], p)
         if dual_rows.shape[0] < dim:
             sub = np.array(kernel_basis(dual_rows, p))
             return IrreducibilityResult(False, invariant_subspace=linalg.rref(sub, p)[0])

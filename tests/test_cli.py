@@ -275,6 +275,18 @@ def test_group_file(tmp_path, capsys):
     assert code == 0 and "order: 60" in out
 
 
+@pytest.mark.parametrize("text, extra, degree, transitive", [
+    ("()\n", [], 0, False), ("()\n", ["--n", "1"], 1, True), ("(0)\n", [], 1, True)])
+def test_group_file_of_degree_below_two(tmp_path, capsys, text, extra, degree, transitive):
+    # compositions of degree 0 and 1 take perm.mult's plain path
+    path = tmp_path / "grp.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["group", "--group-file", str(path), *extra], capsys)
+    assert (code, err) == (0, "")
+    assert out == (f"tag: custom\ndegree: {degree}\norder: 1\norder (independent chain): 1\n"
+                   f"transitive: {transitive}\ndoubly transitive: False\ngenerators:\n\n")
+
+
 def test_analyze_group_file_malformed(tmp_path, capsys):
     path = tmp_path / "grp.txt"
     path.write_text("(0 1 2)\n(0 1 x)\n")
