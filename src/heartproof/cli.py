@@ -192,20 +192,18 @@ def _concrete_group(args) -> PermGroup:
 def _cmd_heart(args) -> int:
     g = _concrete_group(args)
     judged = modules.judge_heart(g, args.p)
-    h = judged.module
     print(f"group: {g.tag.describe()} on {g.degree} points, order {g.order}")
-    print(f"heart: dimension {h.dim} ({h.kind}) over F_{args.p}")
-    if judged.meataxe.irreducible:
+    print(f"heart: dimension {judged.dim} ({judged.kind}) over F_{args.p}")
+    if judged.invariant_dim is None:
         print(f"irreducible: yes (commutant dimension {judged.commutant})")
     else:
-        print(f"irreducible: no (invariant subspace of dimension "
-              f"{judged.meataxe.invariant_subspace.shape[0]})")
+        print(f"irreducible: no (invariant subspace of dimension {judged.invariant_dim})")
     v = simplicity.decide_heart_simplicity(g, args.p)
     print(f"simplicity verdict: {v.level.name}")
     for item in v.evidence:
         print(f"  [{item.kind}] {item.statement}")
     if args.dump:
-        _write(args.dump, modules.dumps(h))
+        _write(args.dump, modules.dumps(modules.heart(g, args.p)))
     return 0
 
 

@@ -16,22 +16,21 @@ elements drawn from one Random(0) stream, at most `ATTEMPTS` in all. The
 monic irreducible factors of a charpoly are unique and are tried in one
 fixed order, so the verdict is a function of the module.
 
-`judge_heart` memoises hearts per process, one entry per heart under the
-value (generators, degree, p), never the group, so that the memo keeps no
-evicted group or its stabilizer chain alive. The entry is made once, on a
-miss, where the heart is built and the intransitive-action warning given.
-It holds the heart's matrices, dimension and kind, its MeatAxe verdict and
-its commutant dimension, None when the heart is reducible. At most
-`MEMO_BYTES` are kept, oldest entry first, and an entry larger than that
-alone is not kept. An entry and its verdict are frozen and their arrays are
-read-only, since every later caller shares them.
+`judge_heart` keeps what callers read of a judged heart, its dimension and
+kind, the dimension of its invariant subspace or else its commutant
+dimension, per group object and p for as long as the group lives, as the
+group keeps its own index answers. The caches that hold groups (the named
+constructors, `verdict.custom_group`) therefore bound it. The facts are made
+once, on a miss, where the heart is built and the intransitive-action
+warning given (`heart` gives none); the heart's matrices and MeatAxe
+certificate are dropped.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from operator import lshift, mul
@@ -107,8 +106,6 @@ def heart(g: PermGroup, p: int) -> HeartModule:
     dim = heart_dim(n, p)
     if dim < 1:
         raise ValueError("module dimension must be >= 1")
-    if not g.is_transitive():
-        warnings.warn("heart of an intransitive action; dimension laws still apply", stacklevel=2)
     kind = "quotient" if n % p == 0 else "hyperplane"
     return HeartModule(g, p, dim, [heart_matrix(x, p) for x in g.generators], kind=kind)
 
@@ -191,72 +188,43 @@ class IrreducibilityResult:
     recipe: tuple[tuple[int, int], ...] | None = None
 
 
-# Bytes the heart memo keeps at most: about 160 hearts of dimension 20 on
-# two generators fit, and no run of new hearts grows the process past it.
-MEMO_BYTES = 2 * 2**20
 # MeatAxe attempts per search, the generator matrices included.
 ATTEMPTS = 200
-# Python objects around each entry kept (key, entry, module, result, tuples,
-# array headers, dict slot), measured with tracemalloc; the arrays, recipe
-# steps and the key's generator tuples are counted on their own.
-_OBJECT_BYTES = 1600
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HeartVerdict:
-    """A heart (holding no group), its MeatAxe verdict and its commutant
-    dimension, None when the heart is reducible; the memo counts `nbytes`."""
+    """What a judged heart shows: its dimension and kind, and either the
+    dimension of an invariant subspace (reducible) or the commutant
+    dimension (irreducible); the other one is None."""
 
-    module: HeartModule
-    meataxe: IrreducibilityResult
+    dim: int
+    kind: str
+    invariant_dim: int | None
     commutant: int | None
-    nbytes: int
 
 
-class _Memo:
-    """(generators, degree, p) -> `HeartVerdict`, at most `MEMO_BYTES` in
-    all, oldest dropped first. Not locked: heartproof judges hearts from one
-    thread."""
-
-    def __init__(self):
-        self.entries: OrderedDict[tuple, HeartVerdict] = OrderedDict()
-        self.nbytes = 0
-
-    def keep(self, key: tuple, entry: HeartVerdict) -> HeartVerdict:
-        """Keep `entry` under `key`, unless it alone exceeds `MEMO_BYTES`;
-        either way return it."""
-        if entry.nbytes <= MEMO_BYTES:
-            self.entries[key] = entry
-            self.nbytes += entry.nbytes
-            while self.nbytes > MEMO_BYTES:
-                _, old = self.entries.popitem(last=False)
-                self.nbytes -= old.nbytes
-        return entry
-
-
-_MEMO = _Memo()
+# group -> {p: its heart's verdict}; an entry goes with its group
+_HEARTS: weakref.WeakKeyDictionary[PermGroup, dict[int, HeartVerdict]] = (
+    weakref.WeakKeyDictionary())
 
 
 def judge_heart(g: PermGroup, p: int) -> HeartVerdict:
-    """The heart of g over F_p, its MeatAxe verdict and, when irreducible,
-    its commutant dimension, kept in the memo (module docstring)."""
-    key = (g.generators, g.degree, p)
-    kept = _MEMO.entries.get(key)
-    if kept is not None:
-        return kept
-    module = heart(g, p)
-    module.group = None  # the memo keeps no group alive
-    meataxe = is_irreducible(module)
-    commutant = commutant_dim(module, meataxe) if meataxe.irreducible else None
-    arrays = module.gen_matrices + [x for x in (meataxe.invariant_subspace, meataxe.null_space,
-                                                meataxe.basis) if x is not None]
-    for x in arrays:
-        x.flags.writeable = False
-    # a recipe step is a tuple of two small ints, 64 bytes; a generator in
-    # the key is a tuple of n pointers
-    nbytes = (_OBJECT_BYTES + sum(x.nbytes for x in arrays) + 64 * len(meataxe.recipe or ())
-              + (8 * g.degree + 56) * len(g.generators))
-    return _MEMO.keep(key, HeartVerdict(module, meataxe, commutant, nbytes))
+    """The verdict on the heart of g over F_p, kept while g lives (module
+    docstring)."""
+    judged = _HEARTS.get(g, {}).get(p)
+    if judged is None:
+        module = heart(g, p)
+        if not g.is_transitive():
+            warnings.warn("heart of an intransitive action; dimension laws still apply",
+                          stacklevel=2)
+        meataxe = is_irreducible(module)
+        if meataxe.irreducible:
+            judged = HeartVerdict(module.dim, module.kind, None, commutant_dim(module, meataxe))
+        else:
+            judged = HeartVerdict(module.dim, module.kind, len(meataxe.invariant_subspace), None)
+        _HEARTS.setdefault(g, {})[p] = judged
+    return judged
 
 
 def _random_algebra_element(mats: list[np.ndarray], p: int, rng: random.Random) -> np.ndarray:

@@ -216,18 +216,17 @@ def decide_heart_simplicity(g_or_tag: PermGroup | GroupTag, p: int) -> Simplicit
 
 def _computed_verdict(g: PermGroup, p: int) -> SimplicityVerdict:
     """NOT_SIMPLE, SIMPLE or ABSOLUTELY_SIMPLE for the heart of a concrete
-    group, from the shortcut or else the heart's memo entry
+    group, from the shortcut or else the heart's verdict
     (`modules.judge_heart`); an absolutely simple heart is then put to the
     index criterion: no proper subgroup of index dividing the heart
     dimension makes it central simple."""
     v = abs_irred_shortcut(g, p)
     if v is None:
         judged = modules.judge_heart(g, p)
-        if not judged.meataxe.irreducible:
+        if judged.invariant_dim is not None:
             return SimplicityVerdict(Level.NOT_SIMPLE).attach(
-                "computation", f"invariant subspace of dimension "
-                f"{len(judged.meataxe.invariant_subspace)} inside the "
-                f"{judged.module.dim}-dimensional heart")
+                "computation", f"invariant subspace of dimension {judged.invariant_dim} "
+                               f"inside the {judged.dim}-dimensional heart")
         if judged.commutant != 1:
             return SimplicityVerdict(Level.SIMPLE).attach(
                 "computation", f"heart irreducible but commutant has dimension "

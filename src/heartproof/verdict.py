@@ -251,7 +251,7 @@ def _check_index_condition(info: _GroupInfo, bound: int) -> Check:
 
 def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> Check:
     """Representation fact: tables for family tags, else the shortcut or
-    the heart memo entry (`modules.judge_heart`) of a custom group."""
+    the heart's verdict (`modules.judge_heart`) of a custom group."""
     tag = info.tag
     if tag.family is not None:
         cited = family_heart_table(tag, s.p)
@@ -264,9 +264,8 @@ def _check_heart_abs_irred(s: Scenario, info: _GroupInfo) -> Check:
         judged = modules.judge_heart(info.concrete, s.p)
     except modules.RandomnessExhausted as exc:
         return "computed", None, str(exc)
-    if not judged.meataxe.irreducible:
-        return ("computed", False,
-                f"invariant subspace of dimension {len(judged.meataxe.invariant_subspace)}")
+    if judged.invariant_dim is not None:
+        return "computed", False, f"invariant subspace of dimension {judged.invariant_dim}"
     return ("computed", judged.commutant == 1,
             f"irreducible by the MeatAxe; commutant dimension {judged.commutant}")
 

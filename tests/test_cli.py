@@ -182,24 +182,29 @@ def test_group_file_takes_n(tmp_path, capsys):
             1, "", "error: generator moves a point beyond n\n")
 
 
-@pytest.mark.parametrize("command", ["heart", "analyze"])
-def test_intransitive_heart_warns_once(command, tmp_path, monkeypatch, capsys):
-    # the warning comes where the heart is built, once per request from an
-    # empty memo, although the report and the verdict both read the heart
-    from heartproof import modules
+@pytest.mark.parametrize("command", ["heart", "analyze", "heart --dump"])
+def test_intransitive_heart_warns_once(command, tmp_path, capsys):
+    # the warning comes where the heart is judged, once per request from an
+    # empty map, although the report, the verdict and the dump all read the
+    # heart
+    from heartproof import modules, verdict
 
-    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     path = tmp_path / "a5.txt"
     path.write_text("(0 1 2)\n(0 1 2 3 4)\n")
+    dump = tmp_path / "heart.dump"
     # analyze reaches the heart row only with the root of unity assumed
-    zeta = ["--assume-zeta"] if command == "analyze" else []
+    extra = {"heart": [], "analyze": ["--assume-zeta"], "heart --dump": ["--dump", str(dump)]}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, _ = run_cli([command, "--group-file", str(path), "--n", "7", "--p", "11",
-                                *zeta], capsys)
+        code, out, _ = run_cli([command.split()[0], "--group-file", str(path), "--n", "7",
+                                "--p", "11", *extra[command]], capsys)
     assert code in (0, 2) and out
     assert [str(w.message) for w in caught] == [
         "heart of an intransitive action; dimension laws still apply"]
+    if command == "heart --dump":
+        g = verdict.custom_group(("(0 1 2)", "(0 1 2 3 4)"), 7)
+        mats = [modules.heart_matrix(x, 11) for x in g.generators]
+        assert dump.read_text() == modules.dumps(modules.GModule(g, 11, 6, mats))
 
 
 def test_heart_of_identity_generators_is_one_error_line(tmp_path, capsys):
@@ -573,13 +578,27 @@ def test_console_entry_point():
     (["--group", "A", "--n", "5"], "11", "heart_a5_f11.txt"),
 ])
 def test_heart_output_golden(group, p, golden, tmp_path, monkeypatch, capsys):
+    from heartproof import modules
+
     if group[0] == "--group-file":
         path = tmp_path / "group.txt"
         path.write_text(group[1])
         group = ["--group-file", str(path)]
-    code, out, _ = run_cli(["heart", *group, "--p", p], capsys)
-    assert code == 0
-    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+    searches = []
+    monkeypatch.setattr(modules, "is_irreducible",
+                        lambda *args, _f=modules.is_irreducible: searches.append(1) or _f(*args))
+    expected_dump = Path(__file__).parent / "golden" / golden.replace(".txt", ".dump")
+    dump = tmp_path / "heart.dump"
+    # a miss, then a hit on the kept verdict: the same bytes, and one search
+    for _ in range(2):
+        dumped = ["--dump", str(dump)] if expected_dump.exists() else []
+        code, out, _ = run_cli(["heart", *group, "--p", p, *dumped], capsys)
+        assert code == 0
+        assert out == (Path(__file__).parent / "golden" / golden).read_text()
+        if dumped:
+            assert dump.read_text() == expected_dump.read_text()
+            dump.unlink()
+    assert searches == [1]
 
 
 def test_heart_runs_one_meataxe(monkeypatch, capsys):
@@ -598,7 +617,6 @@ def test_heart_runs_one_meataxe(monkeypatch, capsys):
     modules.is_irreducible(modules.heart(mathieu_group(11), 3))
     fresh = calls["_attempt"]
     calls["_attempt"] = 0
-    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     code, out, _ = run_cli(["heart", "--group", "M11", "--p", "3"], capsys)
     assert code == 0 and "[computation] heart irreducible" in out
     assert fresh > 0 and calls == {"_attempt": fresh, "commutant_dim": 1}
@@ -609,7 +627,6 @@ def test_exhausted_meataxe_is_reported(command, tmp_path, monkeypatch, capsys):
     # no attempt allowed: heart is an error, analyze leaves the heart row open
     from heartproof import modules, verdict
 
-    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     monkeypatch.setattr(modules, "ATTEMPTS", 0)
     verdict._custom_group_on.cache_clear()
     path = tmp_path / "a5.txt"
@@ -635,7 +652,6 @@ def test_heart_seeds_share_the_seed_free_verdict(monkeypatch, capsys):
     # PSL2(16)'s heart at p = 3 is decided by the first seed-free random draw
     from heartproof import modules
 
-    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     attempts = []
 
     def counted(*args, _f=modules._attempt, **kwargs):

@@ -23,11 +23,6 @@ def cyclic5():
     return PermGroup([perm.parse_perm("(0 1 2 3 4)")], 5)
 
 
-def forget_meataxe(monkeypatch):
-    """An empty heart memo, so that what follows is computed afresh."""
-    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
-
-
 def assert_same_result(a, b):
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
@@ -71,17 +66,16 @@ def test_heart_examples():
     assert heart(mathieu_group(11), 5).dim == 10
 
 
-def test_heart_warns_intransitive(monkeypatch):
+def test_heart_warns_intransitive():
     g = PermGroup([perm.parse_perm("(0 1)", 5)], 5)
-    forget_meataxe(monkeypatch)
-    # the warning comes where the heart is built: on a miss, not on a hit
+    # the warning comes where the heart is judged: on a miss, not on a hit,
+    # and not where `heart --dump` rebuilds the matrices
     with pytest.warns(UserWarning, match="intransitive"):
         judged = judge_heart(g, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert judge_heart(g, 3) is judged
-    with pytest.warns(UserWarning, match="intransitive"):
-        heart(g, 3)
+        assert heart(g, 3).dim == judged.dim
 
 
 def count_heart_matrix(monkeypatch) -> list[int]:
@@ -96,70 +90,33 @@ def count_heart_matrix(monkeypatch) -> list[int]:
     return calls
 
 
-def test_heart_is_memoised_by_the_generators(monkeypatch):
-    forget_meataxe(monkeypatch)
+def test_heart_is_memoised_per_group(monkeypatch):
     calls = count_heart_matrix(monkeypatch)
     g = mathieu_group(11)
     first = judge_heart(g, 5)
+    assert first == modules.HeartVerdict(10, "hyperplane", None, 1)
     assert calls == [len(g.generators)]
-    # an equal group built afresh hits the same entry, and is the one returned
-    same = PermGroup(list(g.generators), g.degree)
-    assert judge_heart(same, 5) is first and calls == [len(g.generators)]
-    h = first.module
-    assert h.group is None and (h.dim, h.kind, h.p) == (10, "hyperplane", 5)
-    forget_meataxe(monkeypatch)
-    fresh = judge_heart(g, 5)
-    assert calls == [2 * len(g.generators)]
-    assert all(np.array_equal(a, b) for a, b in zip(h.gen_matrices, fresh.module.gen_matrices))
-    # the plain heart is the same module, on the group it was given
-    plain = heart(g, 5)
-    assert plain.group is g and [m.tolist() for m in plain.gen_matrices] == [
-        m.tolist() for m in fresh.module.gen_matrices]
-
-
-def test_heart_memo_keys_by_value_and_keeps_no_group(monkeypatch):
-    forget_meataxe(monkeypatch)
-    g = alternating_group(6)
+    # a hit is the same record and builds no matrix
+    assert judge_heart(g, 5) is first and calls == [len(g.generators)]
+    # another p, or an equal group built afresh, is another entry
     judge_heart(g, 7)
-    # the same group on other point names gets its own entry
-    relabelled = PermGroup([perm.conjugate(x, (1, 0, 3, 5, 2, 4)) for x in g.generators], 6)
-    assert relabelled.generators != g.generators and relabelled.order == g.order
-    h = judge_heart(relabelled, 7).module
-    assert list(modules._MEMO.entries) == [(g.generators, 6, 7), (relabelled.generators, 6, 7)]
-    assert [m.tolist() for m in h.gen_matrices] == [
-        heart_matrix(x, 7).tolist() for x in relabelled.generators]
-    # the key holds the generators' values, never the group
-    alive = weakref.ref(relabelled)
-    del relabelled, h
+    same = PermGroup(list(g.generators), g.degree)
+    assert judge_heart(same, 5) == first and calls == [3 * len(g.generators)]
+    assert modules._HEARTS[g] == {5: first, 7: judge_heart(g, 7)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.commutant = 2
+
+
+def test_heart_entry_goes_with_its_group():
+    g = PermGroup([perm.conjugate(x, (1, 0, 3, 5, 2, 4))
+                   for x in alternating_group(6).generators], 6)
+    judged = judge_heart(g, 7)
+    assert dict(modules._HEARTS) == {g: {7: judged}}
+    # the map holds the group weakly and the record holds no group
+    alive = weakref.ref(g)
+    del g
     gc.collect()
-    assert alive() is None
-
-
-def test_heart_memo_shares_the_verdicts_budget(monkeypatch):
-    a5, m24 = alternating_group(5), mathieu_group(24)
-    forget_meataxe(monkeypatch)
-    kept = [judge_heart(a5, 7), judge_heart(cyclic5(), 11)]
-    # one budget counts each heart's matrices and its verdict's arrays together
-    for judged in kept:
-        r = judged.meataxe
-        arrays = [*judged.module.gen_matrices,
-                  *(x for x in (r.invariant_subspace, r.null_space, r.basis) if x is not None)]
-        assert judged.nbytes > (modules._OBJECT_BYTES + sum(x.nbytes for x in arrays)
-                                + 64 * len(r.recipe or ()))
-    # room for these two: the M24 entry alone is larger, is not kept and
-    # pushes out nothing
-    monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
-    calls = count_heart_matrix(monkeypatch)
-    first, again = judge_heart(m24, 5), judge_heart(m24, 5)
-    assert calls == [2 * len(m24.generators)] and first is not again
-    assert list(modules._MEMO.entries.values()) == kept
-    assert all(np.array_equal(a, b)
-               for a, b in zip(first.module.gen_matrices, again.module.gen_matrices))
-    # a new heart pushes out the oldest entry, the A5 heart's
-    judge_heart(symmetric_group(5), 7)
-    memo = modules._MEMO
-    assert (a5.generators, 5, 7) not in memo.entries and len(memo.entries) == 2
-    assert memo.nbytes == sum(e.nbytes for e in memo.entries.values()) <= modules.MEMO_BYTES
+    assert alive() is None and len(modules._HEARTS) == 0
 
 
 def test_word_relation_soundness():
@@ -320,39 +277,35 @@ def memo_groups():
     return [(symmetric_group(10), 5), (mathieu_group(11), 5), (seven, 11), (psl2_group(2, 4), 3)]
 
 
-def test_meataxe_memo_hit_equals_a_fresh_run(monkeypatch):
-    forget_meataxe(monkeypatch)
-    first = [judge_heart(g, p) for g, p in memo_groups()]
+def test_meataxe_memo_hit_equals_a_fresh_run():
+    groups = memo_groups()
+    first = [judge_heart(g, p) for g, p in groups]
+    assert all(judge_heart(g, p) is j for (g, p), j in zip(groups, first))
+    fresh = [is_irreducible(heart(g, p)) for g, p in groups]
     # the 7-cycle's heart splits at p = 11; PSL2(16)'s is decided by a random draw
-    assert [j.meataxe.irreducible for j in first] == [True, True, False, True]
-    assert first[3].meataxe.attempt == 4
-    assert all(judge_heart(g, p) is j for (g, p), j in zip(memo_groups(), first))
-    for (g, p), hit in zip(memo_groups(), first):
-        forget_meataxe(monkeypatch)
-        fresh = judge_heart(g, p)
-        assert fresh is not hit
-        assert_same_result(hit.meataxe, fresh.meataxe)
-        assert hit.commutant == fresh.commutant
-        if fresh.meataxe.irreducible:
-            assert hit.commutant == kronecker_commutant_dim(fresh.module)
+    assert [r.irreducible for r in fresh] == [True, True, False, True]
+    assert fresh[3].attempt == 4
+    for (g, p), hit, r in zip(groups, first, fresh):
+        h = heart(g, p)
+        assert (hit.dim, hit.kind) == (h.dim, h.kind)
+        if r.irreducible:
+            assert hit.invariant_dim is None
+            assert hit.commutant == commutant_dim(h, r) == kronecker_commutant_dim(h)
         else:
-            assert hit.commutant is None
+            assert (hit.invariant_dim, hit.commutant) == (len(r.invariant_subspace), None)
 
 
-def test_meataxe_generator_verdicts_ignore_the_seed(monkeypatch):
-    """A memoised verdict is one object for every later call, equal to a
-    fresh search, and decided within the generator matrices and the first 8
-    draws: the attempts every seed shared before the search became
-    seed-free."""
+def test_meataxe_generator_verdicts_ignore_the_seed():
+    """Two fresh searches give one verdict, decided within the generator
+    matrices and the first 8 draws: the attempts every seed shared before
+    the search became seed-free."""
     prefix_decided = [(psl2_group(2, 4), 3), (psl2_group(2, 4), 7), (psl2_group(5, 2), 3)]
     for g, p in memo_groups()[:3] + prefix_decided:
-        forget_meataxe(monkeypatch)
-        base = judge_heart(g, p).meataxe
+        base = is_irreducible(heart(g, p))
         assert base.attempt is None or base.attempt < len(g.generators) + 8
-        assert all(judge_heart(g, p).meataxe is base for _ in range(10))
         assert_same_result(is_irreducible(heart(g, p)), base)
     for g, p in prefix_decided:
-        assert judge_heart(g, p).meataxe.attempt >= len(g.generators)
+        assert is_irreducible(heart(g, p)).attempt >= len(g.generators)
 
 
 def test_meataxe_attempts_are_the_generators_then_one_random_0_stream(monkeypatch):
@@ -401,50 +354,6 @@ def test_meataxe_budget_bounds_memoised_attempts(monkeypatch):
         # the verdict of attempt k needs k + 1 attempts
         monkeypatch.setattr(modules, "ATTEMPTS", attempts + 1)
         assert_same_result(is_irreducible(module), r)
-
-
-def test_meataxe_results_are_read_only():
-    irreducible = judge_heart(mathieu_group(11), 5)
-    reducible = judge_heart(cyclic5(), 11)
-    for array in (irreducible.meataxe.null_space, irreducible.meataxe.basis,
-                  reducible.meataxe.invariant_subspace,
-                  *irreducible.module.gen_matrices, *reducible.module.gen_matrices):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        irreducible.meataxe.attempt = 3
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        reducible.commutant = 1
-
-
-def test_meataxe_memo_evicts_the_oldest_entry(monkeypatch):
-    forget_meataxe(monkeypatch)
-    old = judge_heart(mathieu_group(11), 5)
-    # room for the older, larger entry alone
-    monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
-    new = judge_heart(alternating_group(5), 7)
-    assert new.nbytes < old.nbytes
-    assert list(modules._MEMO.entries.values()) == [new]
-    assert judge_heart(alternating_group(5), 7) is new
-    again = judge_heart(mathieu_group(11), 5)
-    assert again is not old
-    assert_same_result(again.meataxe, old.meataxe)
-    assert again.commutant == old.commutant == 1
-    assert modules._MEMO.nbytes <= modules.MEMO_BYTES
-
-
-def test_meataxe_memo_keeps_its_entries_past_an_oversize_one(monkeypatch):
-    forget_meataxe(monkeypatch)
-    small = judge_heart(alternating_group(5), 7)
-    # room for the small entry alone: the larger one does not fit even by itself
-    monkeypatch.setattr(modules, "MEMO_BYTES", modules._MEMO.nbytes)
-    big = judge_heart(mathieu_group(11), 5)
-    assert list(modules._MEMO.entries.values()) == [small]
-    assert judge_heart(alternating_group(5), 7) is small
-    again = judge_heart(mathieu_group(11), 5)
-    assert again is not big
-    assert_same_result(again.meataxe, big.meataxe)
-    assert again.commutant == big.commutant == 1
 
 
 def sweep_groups():

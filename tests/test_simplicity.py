@@ -210,7 +210,6 @@ def test_heart_row_and_level_read_one_memo_entry(outcome, monkeypatch):
     fresh = modules.is_irreducible(modules.heart(info.concrete, p))
     searched = calls["_attempt"]
     calls["_attempt"] = 0
-    monkeypatch.setattr(modules, "_MEMO", modules._Memo())
     kind, passed, detail = verdict._check_heart_abs_irred(s, info)
     v = decide_heart_simplicity(info.concrete, p)
     assert (kind, passed, v.level) == ("computed", level >= Level.ABSOLUTELY_SIMPLE, level)
